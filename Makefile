@@ -2,7 +2,7 @@
 
 .PHONY: all check test bench bench-json bench-dataplane-quick \
 	bench-inspector-quick smoke fuzz-quick chaos-quick native-quick \
-	serve-quick adaptive-quick doc clean
+	serve-quick adaptive-quick bench-e2e bench-compare doc clean
 
 all:
 	dune build @all
@@ -86,6 +86,22 @@ adaptive-quick:
 
 bench:
 	dune exec bench/main.exe
+
+# End-to-end benchmark (bench/e2e/README.md): every workload, each in a
+# fresh child process, results under OUT (one seed per invocation;
+# SEED defaults to 1). Compare two directories of >= 5 results files
+# each with bench-compare, which exits 1 on any *worse* verdict:
+#   make bench-e2e OUT=_e2e/a SEED=3
+#   make bench-compare A=_e2e/a B=_e2e/b
+SEED ?= 1
+bench-e2e:
+	@test -n "$(OUT)" || { echo "usage: make bench-e2e OUT=dir [SEED=n]" >&2; exit 2; }
+	mkdir -p $(OUT)
+	dune exec bench/e2e/main.exe -- run --seed $(SEED) --out $(OUT)/seed-$(SEED).json
+
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=dir B=dir" >&2; exit 2; }
+	dune exec bench/e2e/main.exe -- compare $(A) $(B) --spec BENCHMARK.json
 
 # Regenerate the bench artifacts with quick parameters (the committed
 # BENCH_amortize.json / BENCH_redistribute.json were produced by the

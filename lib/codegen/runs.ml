@@ -1,20 +1,19 @@
 type run = { start_local : int; length : int }
 
 let fold_runs plan ~init ~f =
-  (* One pass over the traversal, merging distance-1 neighbours. *)
+  (* One pass over the traversal, merging distance-1 neighbours. The
+     open run lives in two int refs ([len = 0]: none yet), so visiting an
+     address allocates nothing. *)
   let acc = ref init in
-  let current = ref None in
+  let start = ref 0 and len = ref 0 in
   Shapes.visit Shapes.Shape_b plan ~f:(fun addr ->
-      match !current with
-      | Some (start, len) when addr = start + len ->
-          current := Some (start, len + 1)
-      | Some (start, len) ->
-          acc := f !acc { start_local = start; length = len };
-          current := Some (addr, 1)
-      | None -> current := Some (addr, 1));
-  (match !current with
-  | Some (start, len) -> acc := f !acc { start_local = start; length = len }
-  | None -> ());
+      if !len > 0 && addr = !start + !len then incr len
+      else begin
+        if !len > 0 then acc := f !acc { start_local = !start; length = !len };
+        start := addr;
+        len := 1
+      end);
+  if !len > 0 then acc := f !acc { start_local = !start; length = !len };
   !acc
 
 let of_plan plan = List.rev (fold_runs plan ~init:[] ~f:(fun acc r -> r :: acc))

@@ -97,7 +97,7 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
   let locals = Array.of_list sched.Schedule.locals in
   let rounds = Array.of_list (List.map Array.of_list sched.Schedule.rounds) in
   (* Payload buffers come from the per-domain pool: packing overwrites
-     every cell (a side's blocks partition [0, elements)), so reuse
+     every cell (a side's runs partition [0, elements)), so reuse
      needs no zeroing, and a steady-state exchange allocates no payload
      garbage at all. They are released in the [finally] below, after the
      fabric has been drained or purged — nothing can still reference

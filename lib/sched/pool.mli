@@ -7,7 +7,7 @@
     garbage: after one warm-up run, every acquire is a hit.
 
     Buffers come back with unspecified contents — safe for packed
-    payloads only because a side's blocks partition [0, elements), so
+    payloads only because a side's runs partition [0, elements), so
     {!Pack.pack} overwrites every cell before anything reads one.
 
     Counters (registered under [sched.pool.*], visible via [--metrics]):

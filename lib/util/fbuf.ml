@@ -5,8 +5,11 @@ type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 external unsafe_blit_stub : t -> int -> t -> int -> int -> unit
   = "lams_fbuf_blit" [@@noalloc]
 
-external unsafe_rev_blit_stub : t -> int -> t -> int -> int -> unit
-  = "lams_fbuf_rev_blit" [@@noalloc]
+external unsafe_gather_runs : int array -> t -> t -> unit
+  = "lams_fbuf_gather_runs" [@@noalloc]
+
+external unsafe_scatter_runs : int array -> t -> t -> unit
+  = "lams_fbuf_scatter_runs" [@@noalloc]
 
 let create n = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout n (fun _ -> 0.)
 
@@ -36,11 +39,6 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
   check_range "Fbuf.blit" src src_pos len;
   check_range "Fbuf.blit" dst dst_pos len;
   if len > 0 then unsafe_blit_stub src src_pos dst dst_pos len
-
-let rev_blit ~src ~src_pos ~dst ~dst_pos ~len =
-  check_range "Fbuf.rev_blit" src src_pos len;
-  check_range "Fbuf.rev_blit" dst dst_pos len;
-  if len > 0 then unsafe_rev_blit_stub src src_pos dst dst_pos len
 
 let sub t ~pos ~len =
   check_range "Fbuf.sub" t pos len;

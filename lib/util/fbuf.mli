@@ -38,14 +38,20 @@ val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Forward copy, [memmove] semantics: overlapping ranges are safe.
     Bounds-checked; raises [Invalid_argument "Fbuf.blit"] out of range. *)
 
-val rev_blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
-(** Reversed copy: [dst.(dst_pos + i) <- src.(src_pos + len - 1 - i)] for
-    [0 <= i < len]. This single orientation serves both step = -1 pack
-    directions: packing reads a descending run into an ascending buffer
-    span, unpacking writes an ascending buffer span back into a
-    descending run. Bounds-checked; raises
-    [Invalid_argument "Fbuf.rev_blit"] out of range. The two ranges must
-    not overlap. *)
+external unsafe_gather_runs : int array -> t -> t -> unit
+  = "lams_fbuf_gather_runs" [@@noalloc]
+(** [unsafe_gather_runs runs data buf] copies every strided pack run in
+    [runs] from [data] into [buf] in one C call. [runs] holds six ints
+    per run — [buf_pos; start_local; length; step; count; local_stride]
+    — with the meaning [Lams_sched.Pack.side] documents. {b Unchecked}:
+    the caller must have validated every run against both buffers, and
+    the buffers must not overlap. *)
+
+external unsafe_scatter_runs : int array -> t -> t -> unit
+  = "lams_fbuf_scatter_runs" [@@noalloc]
+(** [unsafe_scatter_runs runs buf data] is the inverse copy, from the
+    packed [buf] back into [data]. Unchecked, like
+    {!unsafe_gather_runs}. *)
 
 val sub : t -> pos:int -> len:int -> t
 (** [sub t ~pos ~len] is a zero-copy view of [pos, pos + len): writes

@@ -40,11 +40,54 @@ let first_wide sched =
 
 (* --- Pack.split --- *)
 
-let test_pack_split_partitions () =
-  let tr = first_wide (demo_schedule ~stride:3 ~lo:5 ()) in
-  let side = tr.Schedule.src_side in
+(* A side whose runs really repeat blocks: several runs, one of them
+   holding count >= 2 blocks of length >= 2, so cuts can fall between
+   runs, between blocks of one run, and inside a block. *)
+let multi_block_side () =
+  let candidates =
+    List.concat_map
+      (fun (src_k, dst_k, stride) ->
+        List.concat_map
+          (fun (tr : Schedule.transfer) ->
+            [ tr.Schedule.src_side; tr.Schedule.dst_side ])
+          (cross_transfers
+             (demo_schedule ~p:3 ~src_k ~dst_k ~stride ~lo:2 ~count:150 ())))
+      [ (8, 3, 1); (6, 4, 1); (9, 2, 2); (16, 5, 3) ]
+  in
+  match
+    List.find_opt
+      (fun side ->
+        Tutil.pack_run_count side >= 3
+        && List.exists
+             (fun (r : Tutil.pack_run) ->
+               r.Tutil.count >= 2 && r.Tutil.length >= 2)
+             (Tutil.pack_runs side))
+      candidates
+  with
+  | Some side -> side
+  | None -> Alcotest.fail "no side with multi-block runs"
+
+(* Where buffer position [at] falls relative to the run holding it. *)
+let cut_kind side at =
+  let r =
+    List.find
+      (fun (r : Tutil.pack_run) ->
+        r.Tutil.buf_pos <= at
+        && at < r.Tutil.buf_pos + (r.Tutil.count * r.Tutil.length))
+      (Tutil.pack_runs side)
+  in
+  let off = at - r.Tutil.buf_pos in
+  if off = 0 then `Run_boundary
+  else if off mod r.Tutil.length = 0 then `Block_boundary
+  else `Mid_block
+
+(* Cut [side] at every position; returns the kinds of cut seen. *)
+let check_every_cut side =
+  Tutil.check_pack_canonical "fixture" side;
   let all = Pack.local_addresses side in
+  let seen = Hashtbl.create 3 in
   for at = 1 to side.Pack.elements - 1 do
+    Hashtbl.replace seen (cut_kind side at) ();
     let left, right = Pack.split side ~at in
     Tutil.check_int "left elements" at left.Pack.elements;
     Tutil.check_int "right elements" (side.Pack.elements - at)
@@ -53,11 +96,36 @@ let test_pack_split_partitions () =
       (Array.append
          (Pack.local_addresses left)
          (Pack.local_addresses right));
-    (* The right side is rebased: its buffer positions restart at 0. *)
-    match right.Pack.blocks with
-    | { Pack.buf_pos = 0; _ } :: _ -> ()
-    | _ -> Alcotest.fail "right side not rebased to buffer position 0"
-  done
+    (* Canonical also means tiling from 0: the right side is rebased. *)
+    Tutil.check_pack_canonical (Printf.sprintf "left of %d" at) left;
+    Tutil.check_pack_canonical (Printf.sprintf "right of %d" at) right;
+    Tutil.check_bool "the cut run yields at most two runs per half" true
+      (Tutil.pack_run_count left + Tutil.pack_run_count right
+      <= Tutil.pack_run_count side + 3)
+  done;
+  seen
+
+let test_pack_split_partitions () =
+  let tr = first_wide (demo_schedule ~stride:3 ~lo:5 ()) in
+  ignore (check_every_cut tr.Schedule.src_side);
+  let seen = check_every_cut (multi_block_side ()) in
+  List.iter
+    (fun (k, what) ->
+      Tutil.check_bool ("cuts include " ^ what) true (Hashtbl.mem seen k))
+    [ (`Run_boundary, "run boundaries"); (`Block_boundary, "block boundaries");
+      (`Mid_block, "mid-block positions") ]
+
+let test_pack_shift_roundtrip () =
+  let side = multi_block_side () in
+  List.iter
+    (fun d ->
+      let there = Pack.shift side d in
+      Tutil.check_int_array "shift moves every address"
+        (Array.map (( + ) d) (Pack.local_addresses side))
+        (Pack.local_addresses there);
+      Tutil.check_bool "shift d then -d is structurally the identity" true
+        (Pack.shift there (-d) = side))
+    [ 1; 37; -5; 1 lsl 20 ]
 
 let test_pack_split_bounds () =
   let tr = first_wide (demo_schedule ()) in
@@ -545,6 +613,8 @@ let suite =
       test_pack_split_partitions;
     Alcotest.test_case "Pack.split rejects cuts outside (0, n)" `Quick
       test_pack_split_bounds;
+    Alcotest.test_case "Pack.shift +d then -d is the identity" `Quick
+      test_pack_shift_roundtrip;
     Alcotest.test_case "split_transfer conserves both walks" `Quick
       test_split_transfer_conserves;
     Alcotest.test_case "regroup is conflict-free and deterministic" `Quick

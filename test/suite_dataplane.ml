@@ -34,12 +34,6 @@ let test_fbuf_blit_semantics () =
     Alcotest.(check (float 0.)) "forward" (float_of_int (2 + i))
       (Fbuf.get b (1 + i))
   done;
-  (* rev_blit: dst.(dst_pos + i) = src.(src_pos + len - 1 - i). *)
-  Fbuf.rev_blit ~src:a ~src_pos:2 ~dst:b ~dst_pos:0 ~len:5;
-  for i = 0 to 4 do
-    Alcotest.(check (float 0.)) "reversed" (float_of_int (6 - i))
-      (Fbuf.get b i)
-  done;
   (* Overlapping forward blit has memmove semantics. *)
   Fbuf.blit ~src:a ~src_pos:0 ~dst:a ~dst_pos:1 ~len:9;
   Alcotest.(check (float 0.)) "overlap kept head" 0. (Fbuf.get a 1);
@@ -54,13 +48,87 @@ let test_fbuf_bounds () =
     (fun () -> Fbuf.blit ~src:a ~src_pos:1 ~dst:b ~dst_pos:0 ~len:4);
   Alcotest.check_raises "blit dst oob" (Invalid_argument "Fbuf.blit")
     (fun () -> Fbuf.blit ~src:b ~src_pos:0 ~dst:a ~dst_pos:2 ~len:3);
-  Alcotest.check_raises "rev_blit oob" (Invalid_argument "Fbuf.rev_blit")
-    (fun () -> Fbuf.rev_blit ~src:a ~src_pos:0 ~dst:b ~dst_pos:6 ~len:3);
   Alcotest.check_raises "fill_range oob" (Invalid_argument "Fbuf.fill_range")
     (fun () -> Fbuf.fill_range a ~pos:3 ~len:2 0.);
   (* NaN-transparent equality: bit-pattern comparison. *)
   Tutil.check_bool "nan = nan" true
     (Fbuf.equal (Fbuf.of_array [| nan |]) (Fbuf.of_array [| nan |]))
+
+(* --- Pack bounds above the unchecked run kernels -------------------- *)
+
+(* The widest src side of a p=3 k=4 -> p=2 k=5 remap of [section]. *)
+let widest_side section =
+  let layout = Layout.create ~p:3 ~k:4 in
+  let cs =
+    Comm_sets.build ~src_layout:layout ~src_section:section
+      ~dst_layout:(Layout.create ~p:2 ~k:5)
+      ~dst_section:
+        (Section.make ~lo:0 ~hi:(Section.count section - 1) ~stride:1)
+  in
+  List.fold_left
+    (fun best (tr : Comm_sets.transfer) ->
+      let side =
+        Pack.build_side ~layout ~section ~proc:tr.Comm_sets.src_proc
+          tr.Comm_sets.runs
+      in
+      match best with
+      | Some b when Tutil.pack_run_count b >= Tutil.pack_run_count side ->
+          best
+      | _ -> Some side)
+    None cs.Comm_sets.transfers
+  |> Option.get
+
+let run_high (r : Tutil.pack_run) =
+  r.Tutil.start_local
+  + max 0 ((r.Tutil.count - 1) * r.Tutil.local_stride)
+  + max 0 ((r.Tutil.length - 1) * r.Tutil.step)
+
+(* [side] packs and unpacks against exactly-sized buffers, and raises
+   before copying anything when the local store is one element short
+   (the run at [short_run] reaches the top address) or the buffer one
+   cell short of [elements]. *)
+let check_pack_bounds side ~short_run =
+  let runs = Tutil.pack_runs side in
+  let highs = List.map run_high runs in
+  let top = List.fold_left max 0 highs in
+  Tutil.check_bool "fixture has several runs" true (List.length runs >= 2);
+  Tutil.check_int "the top address lies in the expected run" top
+    (List.nth highs short_run);
+  Tutil.check_bool "only that run reaches it" true
+    (List.length (List.filter (( = ) top) highs) = 1);
+  let n = side.Pack.elements in
+  let data = Fbuf.init (top + 1) float_of_int and buf = Fbuf.create n in
+  Pack.pack side ~data ~buf;
+  Pack.unpack side ~buf ~data;
+  let short = Fbuf.init top (fun _ -> -1.)
+  and short_buf = Fbuf.create (n - 1) in
+  let untouched = Fbuf.init n (fun _ -> -7.) in
+  let buf' = Fbuf.copy untouched in
+  Alcotest.check_raises "pack: store one short" (Invalid_argument "Pack.pack")
+    (fun () -> Pack.pack side ~data:short ~buf:buf');
+  Tutil.check_bool "a refused pack writes nothing" true
+    (Fbuf.equal buf' untouched);
+  Alcotest.check_raises "unpack: store one short"
+    (Invalid_argument "Pack.unpack") (fun () ->
+      Pack.unpack side ~buf ~data:short);
+  Tutil.check_bool "a refused unpack writes nothing" true
+    (Fbuf.equal short (Fbuf.init top (fun _ -> -1.)));
+  Alcotest.check_raises "pack: buffer one short" (Invalid_argument "Pack.pack")
+    (fun () -> Pack.pack side ~data ~buf:short_buf);
+  Alcotest.check_raises "unpack: buffer one short"
+    (Invalid_argument "Pack.unpack") (fun () ->
+      Pack.unpack side ~buf:short_buf ~data)
+
+let test_pack_bounds () =
+  (* Ascending: the highest local address sits in the last run. *)
+  let asc = widest_side (Section.make ~lo:1 ~hi:70 ~stride:1) in
+  check_pack_bounds asc ~short_run:(Tutil.pack_run_count asc - 1);
+  (* Descending: step = -1 runs, and the top address is in the first. *)
+  let desc = widest_side (Section.make ~lo:70 ~hi:1 ~stride:(-1)) in
+  Tutil.check_bool "descending fixture has step = -1 runs" true
+    (List.exists (fun (r : Tutil.pack_run) -> r.Tutil.step = -1)
+       (Tutil.pack_runs desc));
+  check_pack_bounds desc ~short_run:0
 
 (* --- Differential: blit executor = element executor = legacy -------- *)
 
@@ -306,10 +374,12 @@ let test_accounting_boundary () =
   Tutil.check_int "map_section writes counted" (1 + n) (total_writes a)
 
 let suite =
-  [ Alcotest.test_case "fbuf blit/rev_blit/fill_range semantics" `Quick
+  [ Alcotest.test_case "fbuf blit/fill_range semantics" `Quick
       test_fbuf_blit_semantics;
     Alcotest.test_case "fbuf bounds and bit equality" `Quick
       test_fbuf_bounds;
+    Alcotest.test_case "pack/unpack bounds above the run kernels" `Quick
+      test_pack_bounds;
     prop_blit_equals_elementwise_equals_legacy;
     prop_aliasing_shift_both_packings;
     Alcotest.test_case "chaos: corrupt+duplicate on bigarray payloads"

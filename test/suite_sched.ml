@@ -49,14 +49,58 @@ let test_pp_golden () =
   let sched =
     Schedule.build ~src_layout ~src_section:sec ~dst_layout ~dst_section:sec
   in
+  (* Each transfer's dst side is one contiguous local block that the
+     traversal reaches in two segments; the segments' blocks are adjacent
+     in both the buffer and local memory, so the run encoding fuses them
+     ("2+1", where one block per segment read "2+2"). *)
   Alcotest.(check string)
     "deterministic rendering"
     "12 elements (6 local in 2 pairs), 1 rounds, max degree 1\n\
-    \  round 0: 0->1 (3 el, 2+2 blk) 1->0 (3 el, 2+2 blk)\n"
+    \  round 0: 0->1 (3 el, 2+1 blk) 1->0 (3 el, 2+1 blk)\n"
     (Format.asprintf "%a" Schedule.pp sched)
 
+(* Legacy [float array] marshalling over the expanded blocks: the
+   oracle the run kernels are checked against. The step = -1 arm hoists
+   the bounds checks out of the loop — the block extremes cover every
+   access — and runs unsafe. *)
+let check_floats_block name ~data_len ~buf_len
+    { Pack.buf_pos; start_local; length; step } =
+  let lo_local = if step = 1 then start_local else start_local - length + 1 in
+  if
+    buf_pos < 0 || length < 0
+    || buf_pos > buf_len - length
+    || lo_local < 0
+    || lo_local > data_len - length
+  then invalid_arg name
+
+let pack_floats side ~data ~buf =
+  List.iter
+    (fun ({ Pack.buf_pos; start_local; length; step } as b) ->
+      check_floats_block "pack_floats" ~data_len:(Array.length data)
+        ~buf_len:(Array.length buf) b;
+      if step = 1 then Array.blit data start_local buf buf_pos length
+      else
+        for i = 0 to length - 1 do
+          Array.unsafe_set buf (buf_pos + i)
+            (Array.unsafe_get data (start_local - i))
+        done)
+    (Pack.blocks side)
+
+let unpack_floats side ~buf ~data =
+  List.iter
+    (fun ({ Pack.buf_pos; start_local; length; step } as b) ->
+      check_floats_block "unpack_floats" ~data_len:(Array.length data)
+        ~buf_len:(Array.length buf) b;
+      if step = 1 then Array.blit buf buf_pos data start_local length
+      else
+        for i = 0 to length - 1 do
+          Array.unsafe_set data (start_local - i)
+            (Array.unsafe_get buf (buf_pos + i))
+        done)
+    (Pack.blocks side)
+
 (* Both section strides (descending → step = -1 blocks, ascending →
-   step = 1), each across all three marshalling paths: the blit/rev-blit
+   step = 1), each across all three marshalling paths: the run-kernel
    Fbuf path, its element-at-a-time twin, and the legacy [float array]
    oracle with the hoisted-bounds reversed loop. All must agree with the
    positional address oracle and with each other. *)
@@ -81,7 +125,7 @@ let pack_roundtrip ~section ~n =
       Tutil.check_bool "both strides appear in this fixture somewhere" true
         (List.for_all
            (fun (b : Pack.block) -> b.Pack.step = 1 || b.Pack.step = -1)
-           side.Pack.blocks);
+           (Pack.blocks side));
       (* pack into a buffer, unpack into a scratch store: the blocks
          must move exactly the values the addresses name. *)
       let extent = Layout.local_extent layout ~n ~proc:tr.Comm_sets.src_proc in
@@ -92,7 +136,7 @@ let pack_roundtrip ~section ~n =
       let buf_el = Lams_util.Fbuf.create side.Pack.elements in
       Pack.pack_elementwise side ~data ~buf:buf_el;
       let buf_f = Array.make side.Pack.elements 0. in
-      Pack.pack_floats side ~data:data_f ~buf:buf_f;
+      pack_floats side ~data:data_f ~buf:buf_f;
       Tutil.check_bool "blit pack = elementwise pack" true
         (Lams_util.Fbuf.equal buf buf_el);
       Tutil.check_bool "blit pack = float-array pack" true
@@ -100,7 +144,7 @@ let pack_roundtrip ~section ~n =
       let back = Lams_util.Fbuf.init extent (fun _ -> -1.) in
       Pack.unpack side ~buf ~data:back;
       let back_f = Array.make extent (-1.) in
-      Pack.unpack_floats side ~buf:buf_f ~data:back_f;
+      unpack_floats side ~buf:buf_f ~data:back_f;
       Array.iter
         (fun a ->
           Alcotest.(check (float 0.))
@@ -116,6 +160,105 @@ let test_pack_roundtrip_negative_stride () =
 
 let test_pack_roundtrip_positive_stride () =
   pack_roundtrip ~section:(Section.make ~lo:1 ~hi:70 ~stride:3) ~n:71
+
+(* The run encoding on both sides of random transfers: independent
+   (p, k) per side, either stride sign per side, and sections often
+   shorter than one cycle. Each side must walk the positional oracle,
+   tile its buffer, be canonical, and move exactly what the element
+   loops move. *)
+let prop_pack_runs =
+  Tutil.qtest "pack runs: oracle walk, partition, canonical, kernels"
+    QCheck2.Gen.(
+      let* sp = int_range 1 9 in
+      let* sk = int_range 1 16 in
+      let* dp = int_range 1 9 in
+      let* dk = int_range 1 16 in
+      let* count = oneof [ int_range 1 (sp * sk); int_range 1 200 ] in
+      let* ss = int_range 1 6 in
+      let* ds = int_range 1 6 in
+      let* src_desc = bool in
+      let* dst_desc = bool in
+      let* slo = int_range 0 30 in
+      let* dlo = int_range 0 30 in
+      return ((sp, sk, ss, src_desc, slo), (dp, dk, ds, dst_desc, dlo), count))
+    ~print:(fun ((sp, sk, ss, sd, sl), (dp, dk, ds, dd, dl), count) ->
+      Printf.sprintf
+        "src p=%d k=%d s=%d desc=%b lo=%d; dst p=%d k=%d s=%d desc=%b lo=%d; \
+         count=%d"
+        sp sk ss sd sl dp dk ds dd dl count)
+    (fun ((sp, sk, ss, sd, sl), (dp, dk, ds, dd, dl), count) ->
+      let section ~lo ~stride ~desc =
+        let hi = lo + ((count - 1) * stride) in
+        if desc then Section.make ~lo:hi ~hi:lo ~stride:(-stride)
+        else Section.make ~lo ~hi ~stride
+      in
+      let src_layout = Layout.create ~p:sp ~k:sk
+      and dst_layout = Layout.create ~p:dp ~k:dk in
+      let src_section = section ~lo:sl ~stride:ss ~desc:sd
+      and dst_section = section ~lo:dl ~stride:ds ~desc:dd in
+      let cs =
+        Comm_sets.build ~src_layout ~src_section ~dst_layout ~dst_section
+      in
+      let check_side ~layout ~section ~proc (tr : Comm_sets.transfer) =
+        let side = Pack.build_side ~layout ~section ~proc tr.Comm_sets.runs in
+        if side.Pack.elements <> tr.Comm_sets.elements then
+          QCheck2.Test.fail_report "side size";
+        if
+          Pack.local_addresses side
+          <> oracle_addresses ~layout ~section tr.Comm_sets.runs
+        then QCheck2.Test.fail_report "walk differs from the positional oracle";
+        (match Tutil.pack_canonical_error side with
+        | Some msg -> QCheck2.Test.fail_report msg
+        | None -> ());
+        if Pack.block_count side <> List.length (Pack.blocks side) then
+          QCheck2.Test.fail_report "block_count <> expanded blocks";
+        let extent =
+          Layout.local_extent layout
+            ~n:(max section.Section.lo section.Section.hi + 1)
+            ~proc
+        in
+        let data = Lams_util.Fbuf.init extent (fun a -> float_of_int (7 * a)) in
+        let buf = Lams_util.Fbuf.create side.Pack.elements
+        and buf_el = Lams_util.Fbuf.create side.Pack.elements in
+        Pack.pack side ~data ~buf;
+        Pack.pack_elementwise side ~data ~buf:buf_el;
+        if not (Lams_util.Fbuf.equal buf buf_el) then
+          QCheck2.Test.fail_report "pack <> pack_elementwise";
+        let back = Lams_util.Fbuf.init extent (fun _ -> -1.)
+        and back_el = Lams_util.Fbuf.init extent (fun _ -> -1.) in
+        Pack.unpack side ~buf ~data:back;
+        Pack.unpack_elementwise side ~buf ~data:back_el;
+        if not (Lams_util.Fbuf.equal back back_el) then
+          QCheck2.Test.fail_report "unpack <> unpack_elementwise"
+      in
+      List.iter
+        (fun (tr : Comm_sets.transfer) ->
+          check_side ~layout:src_layout ~section:src_section
+            ~proc:tr.Comm_sets.src_proc tr;
+          check_side ~layout:dst_layout ~section:dst_section
+            ~proc:tr.Comm_sets.dst_proc tr)
+        cs.Comm_sets.transfers;
+      true)
+
+(* The cyclic(1) -> cyclic(64) remap on p = 32, n = 2^20: every side of
+   every transfer is one strided run, however many blocks it holds. *)
+let test_cyclic_remap_one_run_per_side () =
+  let n = 1 lsl 20 in
+  let sec = Section.whole ~n in
+  let sched =
+    Schedule.build ~src_layout:(Layout.create ~p:32 ~k:1) ~src_section:sec
+      ~dst_layout:(Layout.create ~p:32 ~k:64) ~dst_section:sec
+  in
+  let transfers = sched.Schedule.locals @ List.concat sched.Schedule.rounds in
+  let sum f =
+    List.fold_left
+      (fun a (t : Schedule.transfer) ->
+        a + f t.Schedule.src_side + f t.Schedule.dst_side)
+      0 transfers
+  in
+  Tutil.check_int "transfers" 1024 (List.length transfers);
+  Tutil.check_int "runs: one per side" 2048 (sum Tutil.pack_run_count);
+  Tutil.check_int "blocks" 1_572_864 (sum Pack.block_count)
 
 let gen_redistribution =
   QCheck2.Gen.(
@@ -354,4 +497,7 @@ let suite =
     Alcotest.test_case "cache hit on translated sections" `Quick
       test_cache_hit_on_translation;
     Alcotest.test_case "cache eviction accounting" `Quick
-      test_cache_eviction ]
+      test_cache_eviction;
+    prop_pack_runs;
+    Alcotest.test_case "cyclic(1) -> cyclic(64): one run per side" `Quick
+      test_cyclic_remap_one_run_per_side ]
