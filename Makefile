@@ -2,7 +2,8 @@
 
 .PHONY: all check test bench bench-json bench-dataplane-quick \
 	bench-inspector-quick smoke fuzz-quick chaos-quick native-quick \
-	serve-quick adaptive-quick bench-e2e bench-compare doc clean
+	serve-quick adaptive-quick bench-e2e bench-compare bench-pairs doc \
+	clean
 
 all:
 	dune build @all
@@ -102,6 +103,17 @@ bench-e2e:
 bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=dir B=dir" >&2; exit 2; }
 	dune exec bench/e2e/main.exe -- compare $(A) $(B) --spec BENCHMARK.json
+
+# Base-vs-change pairs (tools/bench-pairs.sh): BASE exported with git
+# archive into _e2e/base-src, both trees built, N >= 5 seeds from SEED0
+# run alternately (odd seeds base first) into _e2e/pairs/{base,change}/,
+# then compared as bench-compare does:
+#   make bench-pairs BASE=HEAD~1 N=10 SEED0=1
+N ?= 10
+SEED0 ?= 1
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [N=10] [SEED0=1]" >&2; exit 2; }
+	bash tools/bench-pairs.sh $(BASE) $(N) $(SEED0)
 
 # Regenerate the bench artifacts with quick parameters (the committed
 # BENCH_amortize.json / BENCH_redistribute.json were produced by the

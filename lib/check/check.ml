@@ -660,10 +660,38 @@ let fault_round rng =
    replays the round), folded down so the quadratic oracle stays cheap;
    all four stride-sign combinations run, the machines differ
    (p_src <> p_dst whenever p_src > 1), and short counts keep sections
-   below one joint cycle in play. *)
+   below one joint cycle in play. Both sides of every transfer are then
+   lowered by Pack.build_side, whose buffer must walk the transfer's
+   positions in ascending order, each at its Layout.local_address. *)
 let comm_round case =
   Lams_obs.Obs.incr c_comm_rounds;
   let open Lams_sim in
+  let check_side ~what ~layout ~section ~proc (tr : Comm_sets.transfer) =
+    let want =
+      List.concat_map Comm_sets.positions tr.Comm_sets.runs
+      |> List.sort compare
+      |> List.map (fun j ->
+             Layout.local_address layout (Section.nth section j))
+      |> Array.of_list
+    in
+    let mismatch detail =
+      fail case ~m:(-1) ~oracle:"layout.local_address"
+        ~candidate:"pack.build_side"
+        (Format.asprintf "%s side of %d -> %d, p=%d k=%d %a: %s" what
+           tr.Comm_sets.src_proc tr.Comm_sets.dst_proc layout.Layout.p
+           layout.Layout.k Section.pp section detail)
+    in
+    match
+      Lams_sched.Pack.build_side ~layout ~section ~proc tr.Comm_sets.runs
+    with
+    | exception e -> mismatch ("raised " ^ Printexc.to_string e)
+    | side ->
+        let got = Lams_sched.Pack.local_addresses side in
+        if got <> want then
+          mismatch
+            (Printf.sprintf "walked %s, expected %s" (ints_str got)
+               (ints_str want))
+  in
   try
     let p1 = 1 + ((case.p - 1) mod 8) in
     let k1 = 1 + ((case.k - 1) mod 24) in
@@ -695,7 +723,14 @@ let comm_round case =
             (Format.asprintf
                "@[<v>p=%d k=%d %a -> p=%d k=%d %a:@ walk:@ %a@ crt:@ %a@]"
                p1 k1 Section.pp src_section p2 k2 Section.pp dst_section
-               Comm_sets.pp walk Comm_sets.pp crt))
+               Comm_sets.pp walk Comm_sets.pp crt);
+        List.iter
+          (fun (tr : Comm_sets.transfer) ->
+            check_side ~what:"src" ~layout:src_layout ~section:src_section
+              ~proc:tr.Comm_sets.src_proc tr;
+            check_side ~what:"dst" ~layout:dst_layout ~section:dst_section
+              ~proc:tr.Comm_sets.dst_proc tr)
+          walk.Comm_sets.transfers)
       [ (false, false); (true, false); (false, true); (true, true) ];
     None
   with Found mm ->

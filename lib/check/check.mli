@@ -33,7 +33,10 @@
     ({!Lams_sim.Comm_sets.build_crt}), on case-derived layout pairs with
     all four stride-sign combinations, [p_src <> p_dst], and sections
     shorter than one joint cycle — the two must be structurally
-    identical.
+    identical. Both sides of every transfer are then lowered with
+    {!Lams_sched.Pack.build_side}; each side's buffer must walk the
+    transfer's positions in ascending order, every one at its
+    {!Lams_dist.Layout.local_address}.
 
     Every fourth case (when [sim] is set) runs an adaptive-scheduling
     round on a heterogeneous fabric: a case-derived lossy link and a
@@ -158,7 +161,8 @@ type report = {
   native_rounds : int;  (** compiled-C conformance rounds executed *)
   comm_rounds : int;
       (** linear-vs-CRT comm-set inspector rounds executed (every
-          second case) *)
+          second case), each also lowering both sides of every
+          transfer *)
   adaptive_rounds : int;
       (** heterogeneous-fabric adaptive scheduling rounds executed
           (every fourth case when [sim] is set) *)

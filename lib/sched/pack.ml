@@ -1,7 +1,5 @@
 open Lams_util
 open Lams_dist
-open Lams_core
-open Lams_codegen
 
 type block = { buf_pos : int; start_local : int; length : int; step : int }
 type side = { runs : int array; elements : int }
@@ -20,8 +18,8 @@ let run_width = 6
 (* Blocks arrive in buffer order. The last one is held back until the
    next shows it is maximal (a contiguous successor with the same step
    fuses into it); a maximal block then either extends the last run in
-   [out] or opens a new one ([append]). Runs are written straight into
-   the growable [out], so no per-block value is ever built. *)
+   [out] or opens a new one ([append]). The builder writes runs straight
+   into the growable [out], so no per-block value is ever built. *)
 type builder = {
   mutable out : int array;
   mutable used : int;
@@ -30,16 +28,11 @@ type builder = {
   mutable b_local : int;
   mutable b_len : int;
   mutable b_step : int;
-  (* (start_local, length) pairs of the descending progression being
-     reversed into buffer order *)
-  mutable rev : int array;
-  mutable rev_used : int;
 }
 
 let builder () =
   { out = Array.make (4 * run_width) 0; used = 0;
-    b_pos = 0; b_local = 0; b_len = 0; b_step = 0;
-    rev = [||]; rev_used = 0 }
+    b_pos = 0; b_local = 0; b_len = 0; b_step = 0 }
 
 (* [a] with room for [extra] more ints past [used]. *)
 let reserve a ~used ~extra =
@@ -82,9 +75,11 @@ let append b ~pos ~local ~len ~step ~count ~stride =
 let runs b = Array.sub b.out 0 b.used
 
 let flush_block b =
-  if b.b_len > 0 then
+  if b.b_len > 0 then begin
     append b ~pos:b.b_pos ~local:b.b_local ~len:b.b_len ~step:b.b_step
-      ~count:1 ~stride:0
+      ~count:1 ~stride:0;
+    b.b_len <- 0
+  end
 
 let add_block b ~pos ~local ~len ~step =
   if b.b_len > 0 && step = b.b_step && local = b.b_local + (b.b_len * step)
@@ -101,180 +96,149 @@ let finish b =
   flush_block b;
   runs b
 
-(* One arithmetic progression of traversal positions maps to the global
-   indices g(t) = sec.lo + (first + t*period)*sec.stride — itself an
-   arithmetic sequence with stride period*|sec.stride|, every element
-   owned by [proc] (Comm_sets guarantees it). That is exactly a
-   (p, k, l, s) access-sequence sub-problem, so the contiguous
-   local-address blocks fall out of the AM-table machinery: build the
-   plan for the sub-section and stream its runs into the builder.
+(* ------------------------------------------------------------------ *)
+(* Lowering.                                                           *)
 
-   The sub-problems' (l, s) vary per transfer, so routing them through
-   the process {!Lams_core.Plan_cache} would thrash it (and evict the
-   whole-array entries the fill path lives on); schedules are cached one
-   level up ({!Cache}), so the uncached per-processor build is the right
-   cost here. *)
-let add_progression b ~layout ~section ~proc ~buf_pos
-    (run : Lams_sim.Comm_sets.progression) =
-  let nth t =
-    Section.nth section
-      (run.Lams_sim.Comm_sets.first + (t * run.Lams_sim.Comm_sets.period))
-  in
-  let count = run.Lams_sim.Comm_sets.count in
-  let g0 = nth 0 in
-  if count = 1 then
-    (* Local addresses follow the globals' direction, so a lone element
-       takes the section's step and can fuse with its neighbours. *)
-    add_block b ~pos:buf_pos ~local:(Layout.local_address layout g0) ~len:1
-      ~step:(if section.Section.stride < 0 then -1 else 1)
-  else begin
-    let gl = nth (count - 1) in
-    (* The pack buffer is filled in traversal order; a negative section
-       stride makes the globals descend, so the plan (which always walks
-       ascending) is built on the reversed sequence, its runs are parked
-       in [b.rev] and replayed backwards as step = -1 blocks. *)
-    let ascending = gl > g0 in
-    let lo = if ascending then g0 else gl in
-    let hi = if ascending then gl else g0 in
-    let stride = (hi - lo) / (count - 1) in
-    let pr =
-      Problem.make ~p:layout.Layout.p ~k:layout.Layout.k ~l:lo ~s:stride
+(* The [count] positions [first + t*period] of one progression, packed
+   from [buf_pos] on. Their globals step by sigma = period*stride, and
+   every one of them is owned by [proc] (Comm_sets proved it; checked
+   once per k-block below). Inside one k-block the local address
+   (row*k + offset, §2) moves one for one with the global, so the cells
+   a k-block holds need no gap table: they are one block of n cells when
+   |sigma| = 1, else n one-element blocks at local stride sigma, and
+   either way step = sign sigma.
+
+   The builder is fed exactly as cell-by-cell feeding would feed it,
+   because the canonical form depends on the order of merges: the first
+   cell may fuse into the held block or continue the open run at another
+   stride, and the last may fuse with the next k-block's first, so both
+   go through [add_block]; the cells between are one run at stride
+   sigma, whose junction with the first cell is itself sigma, so a
+   single [append] merges exactly as they would one at a time. *)
+let lower_progression b ~layout ~section ~proc ~buf_pos ~first ~period ~count =
+  let k = layout.Layout.k in
+  let pk = layout.Layout.p * k in
+  let sigma = period * section.Section.stride in
+  let step = if sigma < 0 then -1 else 1 in
+  let g = ref (section.Section.lo + (first * section.Section.stride)) in
+  let pos = ref buf_pos and left = ref count in
+  while !left > 0 do
+    let r = !g mod pk in
+    if !g < 0 || r / k <> proc then
+      invalid_arg "Pack.build_side: position not owned by its processor";
+    let o = r - (proc * k) in
+    let local = (!g / pk * k) + o in
+    let room =
+      if sigma > 0 then ((k - 1 - o) / sigma) + 1 else (o / -sigma) + 1
     in
-    match Plan.build_uncached pr ~m:proc ~u:hi with
-    | None -> invalid_arg "Pack: progression not owned by its processor"
-    | Some plan ->
-        let visited =
-          if ascending then
-            Runs.fold_runs plan ~init:0
-              ~f:(fun visited { Runs.start_local; length } ->
-                add_block b ~pos:(buf_pos + visited) ~local:start_local
-                  ~len:length ~step:1;
-                visited + length)
-          else begin
-            b.rev_used <- 0;
-            let visited =
-              Runs.fold_runs plan ~init:0
-                ~f:(fun visited { Runs.start_local; length } ->
-                  b.rev <- reserve b.rev ~used:b.rev_used ~extra:2;
-                  b.rev.(b.rev_used) <- start_local;
-                  b.rev.(b.rev_used + 1) <- length;
-                  b.rev_used <- b.rev_used + 2;
-                  visited + length)
-            in
-            let pos = ref buf_pos in
-            let i = ref (b.rev_used - 2) in
-            while !i >= 0 do
-              let start_local = b.rev.(!i) and length = b.rev.(!i + 1) in
-              add_block b ~pos:!pos ~local:(start_local + length - 1)
-                ~len:length ~step:(-1);
-              pos := !pos + length;
-              i := !i - 2
-            done;
-            visited
-          end
-        in
-        if visited <> count then
-          invalid_arg "Pack: progression escapes its processor"
-  end
+    let n = min !left room in
+    if sigma = step then add_block b ~pos:!pos ~local ~len:n ~step
+    else begin
+      add_block b ~pos:!pos ~local ~len:1 ~step;
+      if n > 2 then begin
+        flush_block b;
+        append b ~pos:(!pos + 1) ~local:(local + sigma) ~len:1 ~step
+          ~count:(n - 2) ~stride:sigma
+      end;
+      if n > 1 then
+        add_block b ~pos:(!pos + n - 1)
+          ~local:(local + ((n - 1) * sigma))
+          ~len:1 ~step
+    end;
+    pos := !pos + n;
+    left := !left - n;
+    g := !g + (n * sigma)
+  done
 
 (* {!Lams_sim.Comm_sets} describes a transfer as residue classes of
-   traversal positions modulo the lcm of the two cycle periods. Packing
-   one class at a time walks the data class-major — consecutive buffer
-   cells sit one whole period apart in memory, so every block collapses
-   to a single element and the blit data plane never gets a run to
-   move. The buffer layout is private to the schedule (both sides are
-   lowered from the same runs list), which leaves us free to
-   re-enumerate the same position set differently: consecutive residues
-   fuse into intervals, and one interval at one period offset is a
-   contiguous traversal segment — exactly an (l:h:s) sub-problem whose
-   access sequence the AM table lowers to runs with real lengths.
-
-   Classes arrive sorted by [first] and share one period; counts along
-   a fused interval are non-increasing (count = 1 + (total-1-first)/P),
-   so the residues still alive at period offset [t] are a prefix of the
-   interval — the guard below splits the interval wherever either
-   assumption fails, which only costs block length, never correctness.
-   Returns [None] (caller falls back to class-major packing) when the
-   classes disagree on the period. *)
-let traversal_segments (runs : Lams_sim.Comm_sets.progression list) =
-  match runs with
-  | [] -> Some []
-  | { Lams_sim.Comm_sets.period; _ } :: _
-    when List.exists
-           (fun r -> r.Lams_sim.Comm_sets.period <> period)
-           runs ->
-      None
-  | { Lams_sim.Comm_sets.period; _ } :: _ when period = 1 ->
-      (* A period-1 class is already one contiguous segment. *)
-      Some
-        (List.map
-           (fun r ->
-             (r.Lams_sim.Comm_sets.first, r.Lams_sim.Comm_sets.count))
-           runs)
-  | { Lams_sim.Comm_sets.period; _ } :: _ ->
-      let arr = Array.of_list runs in
-      let n = Array.length arr in
-      let first i = arr.(i).Lams_sim.Comm_sets.first in
-      let count i = arr.(i).Lams_sim.Comm_sets.count in
-      let segs = ref [] in
-      let i = ref 0 in
-      while !i < n do
-        let j = ref (!i + 1) in
-        while
-          !j < n
-          && first !j = first (!j - 1) + 1
-          && count !j <= count (!j - 1)
-        do
-          incr j
-        done;
-        let base = first !i and width = !j - !i in
-        let t = ref 0 and len = ref width in
-        while !len > 0 do
-          while !len > 0 && count (!i + !len - 1) <= !t do
-            decr len
-          done;
-          if !len > 0 then segs := (base + (!t * period), !len) :: !segs;
-          incr t
-        done;
-        i := !j
+   traversal positions modulo one period P, sorted by [first], every
+   [first] below P. Packing one class at a time walks the data
+   class-major — consecutive buffer cells sit one whole period apart in
+   memory, so every block collapses to a single element. The buffer
+   layout is private to the schedule (both sides are lowered from the
+   same runs list), so the classes are packed in traversal order
+   instead, which is (period offset t, first) order and needs no sort:
+   classes with consecutive [first] fuse into intervals, and since
+   counts fall as [first] grows (count = 1 + (total-1-first)/P), the
+   classes alive at offset [t] are a prefix of each interval — one
+   contiguous segment of positions. [f ~first ~count] gets each segment
+   in traversal order; segments that turn out adjacent (an interval
+   ending at P-1, the next starting at 0 one offset later) fuse in the
+   builder. Intervals are cut wherever a count rises, which costs block
+   length, never order. *)
+let iter_segments ~period classes f =
+  let a = Array.of_list classes in
+  let n = Array.length a in
+  let first i = a.(i).Lams_sim.Comm_sets.first
+  and count i = a.(i).Lams_sim.Comm_sets.count in
+  (* The first [live] intervals are still alive, in ascending [first]:
+     interval [v] starts at class [heads.(v)], and [width.(v)] classes
+     of it were alive at the previous offset. *)
+  let heads = Array.make n 0 and width = Array.make n 0 in
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if i > 0 && first i = first (i - 1) + 1 && count i <= count (i - 1) then
+      width.(!live - 1) <- width.(!live - 1) + 1
+    else begin
+      heads.(!live) <- i;
+      width.(!live) <- 1;
+      incr live
+    end
+  done;
+  let t = ref 0 in
+  while !live > 0 do
+    let kept = ref 0 in
+    for v = 0 to !live - 1 do
+      let h = heads.(v) and w = ref width.(v) in
+      while !w > 0 && count (h + !w - 1) <= !t do
+        decr w
       done;
-      (* Traversal order: segments of different intervals interleave
-         across periods, so sort by position, then fuse any that turn
-         out adjacent (intervals as wide as the period tile the
-         traversal seamlessly). *)
-      let sorted =
-        List.sort (fun (a, _) (b, _) -> compare a b) !segs
-      in
-      Some
-        (List.fold_left
-           (fun acc (j0, len) ->
-             match acc with
-             | (pj, pl) :: rest when pj + pl = j0 -> (pj, pl + len) :: rest
-             | _ -> (j0, len) :: acc)
-           [] sorted
-        |> List.rev)
+      if !w > 0 then begin
+        f ~first:(first h + (!t * period)) ~count:!w;
+        heads.(!kept) <- h;
+        width.(!kept) <- !w;
+        incr kept
+      end
+    done;
+    live := !kept;
+    incr t
+  done
 
-(* Each progression fills the next consecutive buffer range, so blocks
-   reach the builder in buffer order without a sort. *)
-let build_side ~layout ~section ~proc runs =
-  let progressions =
-    match traversal_segments runs with
-    | Some segs ->
-        List.map
-          (fun (j0, len) ->
-            { Lams_sim.Comm_sets.first = j0; period = 1; count = len })
-          segs
-    | None -> runs
+(* The shape {!iter_segments} needs: one period, [first] strictly
+   ascending and below it. *)
+let rec traversal_form ~period prev = function
+  | [] -> prev < period
+  | { Lams_sim.Comm_sets.first; period = q; _ } :: rest ->
+      q = period && first > prev && traversal_form ~period first rest
+
+(* Classes in any other shape (periods that differ — never produced by
+   Comm_sets) are packed one after another. *)
+let build_side ~layout ~section ~proc
+    (classes : Lams_sim.Comm_sets.progression list) =
+  let total = Section.count section in
+  List.iter
+    (fun { Lams_sim.Comm_sets.first; period; count } ->
+      if
+        first < 0 || period < 1 || count < 1
+        || first + ((count - 1) * period) >= total
+      then invalid_arg "Pack.build_side: progression outside the section")
+    classes;
+  let b = builder () and elements = ref 0 in
+  let lower ~period ~first ~count =
+    lower_progression b ~layout ~section ~proc ~buf_pos:!elements ~first
+      ~period ~count;
+    elements := !elements + count
   in
-  let b = builder () in
-  let elements =
-    List.fold_left
-      (fun buf_pos (run : Lams_sim.Comm_sets.progression) ->
-        add_progression b ~layout ~section ~proc ~buf_pos run;
-        buf_pos + run.Lams_sim.Comm_sets.count)
-      0 progressions
-  in
-  { runs = finish b; elements }
+  (match classes with
+  | { Lams_sim.Comm_sets.period; _ } :: _
+    when traversal_form ~period (-1) classes ->
+      iter_segments ~period classes (lower ~period:1)
+  | _ ->
+      List.iter
+        (fun { Lams_sim.Comm_sets.first; period; count } ->
+          lower ~period ~first ~count)
+        classes);
+  { runs = finish b; elements = !elements }
 
 (* ------------------------------------------------------------------ *)
 (* Data movement.                                                      *)
@@ -355,14 +319,14 @@ let shift side delta =
     { side with runs }
   end
 
-(* Cut a side at a buffer position. Runs tile [0, elements) in order, so
-   exactly one run holds position [at]; it is cut without expanding it:
-   whole blocks on either side stay one run each, and a block the cut
-   falls inside leaves its head to the left and its tail to the right
-   (both still one block, start_local advancing [step] per cell). Each
-   half is re-appended run by run, so a piece that continues its old
-   neighbour run (a one-block remainder takes any stride) merges back
-   into it and both halves stay canonical. Right-side positions are
+(* Cut a side at a buffer position. The runs tile [0, elements) in
+   order, so exactly one run holds position [at]; it is cut without
+   expanding it: whole blocks on either side stay one run each, and a
+   block the cut falls inside leaves its head to the left and its tail
+   to the right (both still one block, start_local advancing [step] per
+   cell). Each half is re-appended run by run, so a piece that continues
+   its old neighbour run (a one-block remainder takes any stride) merges
+   back into it and both halves stay canonical. Right-side positions are
    rebased to 0 so each half is a well-formed side over its own
    (smaller) payload buffer. *)
 let split side ~at =

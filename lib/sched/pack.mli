@@ -4,12 +4,12 @@
     A transfer's element set is a union of arithmetic progressions of
     traversal positions ({!Lams_sim.Comm_sets}); on each side those
     positions land on one processor's local memory as {e contiguous
-    blocks} — the same run structure the node-code generator exploits
-    ({!Lams_codegen.Runs}). Because a processor's access sequence is a
-    periodic gap table, equal blocks recur at a fixed local stride, so a
-    side is stored as a few {e strided runs} of blocks, and marshalling
-    moves a whole side in one C call instead of one address computation
-    per element. *)
+    blocks}. Inside one [k]-block of the owner the local address moves
+    one for one with the global index (§2), so the blocks follow from
+    the layout in closed form, one [k]-block at a time. Equal blocks
+    recur at a fixed local stride, so a side is stored as a few
+    {e strided runs} of blocks, and marshalling moves a whole side in
+    one C call instead of one address computation per element. *)
 
 type block = {
   buf_pos : int;  (** first position in the packed buffer *)
@@ -48,18 +48,28 @@ val build_side :
   side
 (** Lower one side of a transfer (its owner [proc]'s view) to runs.
     The packed buffer holds the transfer's elements in {e traversal
-    order} (ascending position). The comm-set residue classes are first
-    re-enumerated as maximal contiguous traversal segments —
-    class-major packing would put consecutive buffer cells one whole
-    period apart in memory and collapse every block to a single
-    element — and each segment is lowered through the AM-table run
-    machinery. Blocks stream into the run encoding as they are found
-    (contiguous ones fused, equal ones at a constant local stride
-    appended to the open run); no per-block value is built. Both sides
-    of a transfer are built from the same runs list, so they agree on
+    order} (ascending position) when the progressions come as
+    {!Lams_sim.Comm_sets} builds them — one period, ascending [first]
+    below it — and class by class in list order otherwise. Traversal
+    order is (period offset, [first]) order, so the classes are walked
+    as contiguous traversal segments without a sort; class-major packing
+    would put consecutive buffer cells one whole period apart in memory
+    and collapse every block to a single element. Each [k]-block a
+    segment touches is one batch, found in closed form with one
+    ownership test: a block of contiguous cells for a unit global step,
+    one-element blocks at a constant local stride otherwise. Blocks
+    stream into the run encoding as they are found (contiguous ones
+    fused, equal ones at a constant local stride appended to the open
+    run); no per-block value is built. The cost is
+    O(progressions + segments + [k]-blocks touched). Both sides of a
+    transfer are built from the same progression list, so they agree on
     the buffer permutation by construction.
-    @raise Invalid_argument if some position is not owned by [proc]
-    (a schedule/ownership inconsistency). *)
+    @raise Invalid_argument if a progression is empty, has a period
+    below 1, or reaches a position outside [\[0, Section.count section)]
+    (checked up front, in O(progressions)).
+    @raise Invalid_argument if some position's global index is negative
+    or owned by a processor other than [proc] (a schedule/ownership
+    inconsistency; checked once per [k]-block). *)
 
 val pack : side -> data:Lams_util.Fbuf.t -> buf:Lams_util.Fbuf.t -> unit
 (** Gather the side's elements from local memory into the packed

@@ -116,4 +116,15 @@ let suite =
     raises_invalid "Timer.best_of bad repeats" (fun () ->
         Lams_util.Timer.best_of ~repeats:0 (fun () -> ()));
     raises_invalid "Stats.summarize empty" (fun () ->
-        Lams_util.Stats.summarize [||]) ]
+        Lams_util.Stats.summarize [||]);
+    (* sched: global 8 lies in processor 1's first block *)
+    raises_invalid "Pack.build_side not owned" (fun () ->
+        Lams_sched.Pack.build_side ~layout:lay ~section:(Section.whole ~n:64)
+          ~proc:0
+          [ { Lams_sim.Comm_sets.first = 8; period = 1; count = 1 } ]);
+    (* one processor owns every index, so only the range check can
+       refuse position 8 of an 8-element section *)
+    raises_invalid "Pack.build_side past the section" (fun () ->
+        Lams_sched.Pack.build_side ~layout:(Layout.create ~p:1 ~k:8)
+          ~section:(Section.whole ~n:8) ~proc:0
+          [ { Lams_sim.Comm_sets.first = 0; period = 1; count = 9 } ]) ]

@@ -260,6 +260,77 @@ let test_cyclic_remap_one_run_per_side () =
   Tutil.check_int "runs: one per side" 2048 (sum Tutil.pack_run_count);
   Tutil.check_int "blocks" 1_572_864 (sum Pack.block_count)
 
+(* One side of a remap-cold-shaped redistribution: that workload's
+   block sizes, any p up to 32, |s| <= 7 of either sign, plus the
+   |s| >= k and pk | s corners. *)
+let gen_cold_side =
+  QCheck2.Gen.(
+    let* p = int_range 1 32 in
+    let* k = oneofl [ 1; 2; 3; 5; 7; 8; 16; 24; 64; 100; 256 ] in
+    let* s =
+      frequency
+        [ (6, int_range 1 7);
+          (1, int_range k (k + 7));
+          (1, map (fun m -> m * p * k) (int_range 1 3)) ]
+    in
+    let* neg = bool in
+    let* lo = int_range 0 (2 * p * k) in
+    return (p, k, (if neg then -s else s), lo))
+
+(* The run grouping of every side is the one the builder's merge rule
+   gives when fed one maximal block at a time, on sections shorter than
+   one cycle of either side and several cycles of both long. *)
+let prop_pack_cold_shapes =
+  Tutil.qtest ~count:100 "pack runs: remap-cold shapes = greedy block fold"
+    QCheck2.Gen.(
+      let cycle (p, k, s, _) =
+        p * k / Lams_numeric.Euclid.gcd (abs s) (p * k)
+      in
+      let* src = gen_cold_side in
+      let* dst = gen_cold_side in
+      let c = min (cycle src) (cycle dst)
+      and c' = max (cycle src) (cycle dst) in
+      let* count =
+        oneof
+          [ int_range 1 (max 1 (c - 1));
+            int_range (min 20_000 (2 * c')) (min 20_000 (4 * c')) ]
+      in
+      return (src, dst, count))
+    ~print:(fun ((sp, sk, ss, sl), (dp, dk, ds, dl), count) ->
+      Printf.sprintf
+        "src p=%d k=%d s=%d lo=%d; dst p=%d k=%d s=%d lo=%d; count=%d" sp sk
+        ss sl dp dk ds dl count)
+    (fun (src, dst, count) ->
+      let side_of (p, k, s, lo) =
+        let hi = lo + ((count - 1) * abs s) in
+        ( Layout.create ~p ~k,
+          if s > 0 then Section.make ~lo ~hi ~stride:s
+          else Section.make ~lo:hi ~hi:lo ~stride:s )
+      in
+      let src_layout, src_section = side_of src
+      and dst_layout, dst_section = side_of dst in
+      let check ~layout ~section ~proc (tr : Comm_sets.transfer) =
+        let side = Pack.build_side ~layout ~section ~proc tr.Comm_sets.runs in
+        if
+          Pack.local_addresses side
+          <> oracle_addresses ~layout ~section tr.Comm_sets.runs
+        then QCheck2.Test.fail_report "walk differs from the positional oracle";
+        (match Tutil.pack_canonical_error side with
+        | Some msg -> QCheck2.Test.fail_report msg
+        | None -> ());
+        if Tutil.pack_runs side <> Tutil.greedy_runs (Pack.blocks side) then
+          QCheck2.Test.fail_report "runs differ from the greedy block fold"
+      in
+      List.iter
+        (fun (tr : Comm_sets.transfer) ->
+          check ~layout:src_layout ~section:src_section
+            ~proc:tr.Comm_sets.src_proc tr;
+          check ~layout:dst_layout ~section:dst_section
+            ~proc:tr.Comm_sets.dst_proc tr)
+        (Comm_sets.build ~src_layout ~src_section ~dst_layout ~dst_section)
+          .Comm_sets.transfers;
+      true)
+
 let gen_redistribution =
   QCheck2.Gen.(
     let* sp = int_range 1 8 in
@@ -500,4 +571,5 @@ let suite =
       test_cache_eviction;
     prop_pack_runs;
     Alcotest.test_case "cyclic(1) -> cyclic(64): one run per side" `Quick
-      test_cyclic_remap_one_run_per_side ]
+      test_cyclic_remap_one_run_per_side;
+    prop_pack_cold_shapes ]

@@ -114,3 +114,26 @@ let check_pack_canonical what side =
   match pack_canonical_error side with
   | None -> ()
   | Some msg -> Alcotest.failf "%s: %s" what msg
+
+(* The runs of [blocks] as the run builder's merge rule groups them fed
+   one block at a time: fold left to right, extending the last run when
+   length and step match and the block sits one local stride past the
+   run's last block (a one-block run takes any stride). *)
+let greedy_runs (blocks : Lams_sched.Pack.block list) =
+  List.fold_left
+    (fun acc ({ buf_pos; start_local; length; step } : Lams_sched.Pack.block)
+       ->
+      match acc with
+      | r :: rest
+        when r.length = length && r.step = step
+             && (r.count = 1
+                || start_local - last_block_start r = r.local_stride) ->
+          { r with
+            count = r.count + 1;
+            local_stride = start_local - last_block_start r }
+          :: rest
+      | _ ->
+          { buf_pos; start_local; length; step; count = 1; local_stride = 0 }
+          :: acc)
+    [] blocks
+  |> List.rev
