@@ -9,10 +9,12 @@
        same Bigarray buffers — the pre-blit data plane, kept alive
        precisely so this comparison stays adjacent.
 
-   Two regimes per (p, n): "coarse" (k = n/p -> n/4p, block-sized runs,
-   multi-megabyte blits) and "fine" (cyclic(64) -> cyclic(256), runs of
-   at most 64 elements, where per-block overhead could in principle eat
-   the memcpy win). Each config also verifies the steady-state pool
+   Three regimes per (p, n): "coarse" (k = n/p -> n/4p, block-sized
+   runs, multi-megabyte blits), "fine" (cyclic(64) -> cyclic(256), runs
+   of at most 64 elements, where per-block overhead could in principle
+   eat the memcpy win) and "scatter" (cyclic(1) -> cyclic(64): every
+   processor pair exchanges, so p - 1 rounds, and every destination
+   block is one element). Each config also verifies the steady-state pool
    contract — after a warm-up exchange, one run's [sched.pool.hits]
    advances by exactly the transfer count and [sched.pool.misses] by
    zero — and spot-checks the delivered contents. *)
@@ -21,9 +23,12 @@ open Lams_util
 open Lams_sim
 module Sched = Lams_sched
 
-type regime = Coarse | Fine
+type regime = Coarse | Fine | Scatter
 
-let regime_name = function Coarse -> "coarse" | Fine -> "fine"
+let regime_name = function
+  | Coarse -> "coarse"
+  | Fine -> "fine"
+  | Scatter -> "scatter"
 
 (* Block sizes are capped rather than scaled as n/p. The cap predates
    the linear inspector — the old CRT decomposition cost k_src * k_dst
@@ -37,6 +42,7 @@ let transition ~regime ~quick ~p =
       if quick then (max 1 (4096 / p), max 1 (1024 / p))
       else (max 1 (16384 / p), max 1 (4096 / p))
   | Fine -> (64, 256)
+  | Scatter -> (1, 64)
 
 type row = {
   p : int;
@@ -195,7 +201,8 @@ let run ?(quick = false) ?json () =
     List.concat_map
       (fun n ->
         List.concat_map
-          (fun p -> List.map (case_row ~quick ~p ~n) [ Coarse; Fine ])
+          (fun p ->
+            List.map (case_row ~quick ~p ~n) [ Coarse; Fine; Scatter ])
           ps)
       ns
   in

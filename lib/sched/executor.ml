@@ -30,17 +30,23 @@ let c_replans =
    run is dropped instead of misdelivered. *)
 let run_counter = Atomic.make 1
 
-(* Execute a schedule. One pack phase gathers every outgoing buffer —
-   all the reads — before any delivery writes, so [src] and [dst] may
-   alias (overlapping in-array shifts), exactly like the legacy
-   two-phase exchange. Then the self-transfers unpack locally and each
-   round becomes a send phase (post one pre-packed message per
-   transfer, tag = round index) and a recv phase (drain + unpack) with
-   a barrier between them. Rounds are contention-free, so within a
-   round every mailbox holds at most one message —
+(* Execute a schedule, processor-major: in every phase rank [m] touches
+   only its own store, buffers and mailbox. One pack phase has each
+   source gather all its outgoing buffers — all the reads — before any
+   delivery writes, so [src] and [dst] may alias (overlapping in-array
+   shifts), exactly like the legacy two-phase exchange. Each round is a
+   send phase (post one pre-packed message per transfer, tag = round
+   index) and a recv phase (drain, and file each payload under its
+   receiver) with a barrier between them. Rounds are contention-free,
+   so within a round every mailbox holds at most one message —
    Network.max_congestion stays at 1 — and arrival order is
    immaterial, which is what makes the [parallel] phases
-   deterministic.
+   deterministic. After the last round one unpack phase has each
+   destination scatter its self-transfers, then its received payloads
+   in round order: each processor's writes run back to back in its own
+   memory instead of interleaving with every other processor's round
+   by round, and [Schedule.validate]'s exactly-once delivery makes the
+   order within a processor free.
 
    On a faulty fabric the rounds run through the {!Reliable} protocol
    instead (sequence numbers, checksums, ack/retransmit); crashed ranks
@@ -100,8 +106,8 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
      every cell (a side's runs partition [0, elements)), so reuse
      needs no zeroing, and a steady-state exchange allocates no payload
      garbage at all. They are released in the [finally] below, after the
-     fabric has been drained or purged — nothing can still reference
-     them. *)
+     unpack phase and after the fabric has been drained or purged —
+     nothing can still reference them. *)
   let buf_for (tr : Schedule.transfer) = Pool.acquire tr.Schedule.elements in
   let local_bufs = Array.map buf_for locals in
   let round_bufs = Array.map (Array.map buf_for) rounds in
@@ -110,74 +116,96 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
     Array.iter (Array.iter Pool.release) round_bufs
   in
   Fun.protect ~finally:release_bufs @@ fun () ->
-  let pack_from m (tr : Schedule.transfer) buf =
-    if tr.Schedule.src_proc = m then
-      pack_side tr.Schedule.src_side
-        ~data:(Local_store.data (Darray.local src m))
-        ~buf
-  in
+  (* The per-processor index, built once: each source's (transfer,
+     buffer) pairs in schedule order (locals, then rounds), each
+     processor's self-transfers, and per round the slot of each
+     processor's one send and one receive (-1: none). *)
+  let outgoing = Array.make p [] and self = Array.make p [] in
+  let slots () = Array.map (fun _ -> Array.make p (-1)) rounds in
+  let send_slot = slots () and recv_slot = slots () in
+  for r = Array.length rounds - 1 downto 0 do
+    for i = Array.length rounds.(r) - 1 downto 0 do
+      let tr = rounds.(r).(i) in
+      let s = tr.Schedule.src_proc in
+      outgoing.(s) <- (tr, round_bufs.(r).(i)) :: outgoing.(s);
+      send_slot.(r).(s) <- i;
+      recv_slot.(r).(tr.Schedule.dst_proc) <- i
+    done
+  done;
+  for i = Array.length locals - 1 downto 0 do
+    let tr = locals.(i) and buf = local_bufs.(i) in
+    let m = tr.Schedule.src_proc in
+    outgoing.(m) <- (tr, buf) :: outgoing.(m);
+    self.(m) <- (tr.Schedule.dst_side, buf) :: self.(m)
+  done;
   let pack_phase m =
-    Array.iteri (fun i tr -> pack_from m tr local_bufs.(i)) locals;
-    Array.iteri
-      (fun r round ->
-        Array.iteri (fun i tr -> pack_from m tr round_bufs.(r).(i)) round)
-      rounds
+    match outgoing.(m) with
+    | [] -> ()
+    | out ->
+        let data = Local_store.data (Darray.local src m) in
+        List.iter
+          (fun ((tr : Schedule.transfer), buf) ->
+            pack_side tr.Schedule.src_side ~data ~buf)
+          out
   in
-  let locals_phase m =
-    Array.iteri
-      (fun i (tr : Schedule.transfer) ->
-        if tr.Schedule.src_proc = m then
-          unpack_side tr.Schedule.dst_side ~buf:local_bufs.(i)
-            ~data:(Local_store.data (Darray.local dst m)))
-      locals
+  (* [received.(m)]: rank [m]'s drained payloads, newest round first.
+     Only rank [m]'s own phases touch its slot. *)
+  let received = Array.make p [] in
+  let unpack_phase m =
+    match (self.(m), received.(m)) with
+    | [], [] -> ()
+    | mine, got ->
+        let data = Local_store.data (Darray.local dst m) in
+        let unpack (side, buf) = unpack_side side ~buf ~data in
+        List.iter unpack mine;
+        List.iter unpack (List.rev got)
   in
   run_phase pack_phase;
-  run_phase locals_phase;
   (match rel with
   | None ->
-      (* The seed path, unchanged: one send and one recv phase per
-         round, bare (headerless) packed messages. *)
-      let send_phase r round m =
-        Array.iteri
-          (fun i (tr : Schedule.transfer) ->
-            if tr.Schedule.src_proc = m then begin
-              Network.send net ~src:m ~dst:tr.Schedule.dst_proc ~tag:r
-                ~addresses:[||] ~payload:round_bufs.(r).(i);
-              Lams_obs.Obs.add c_packed_bytes
-                (Network.bytes_per_element * tr.Schedule.elements)
-            end)
-          round
+      (* One send and one recv phase per round, bare (headerless) packed
+         messages; the drain only files each payload under its
+         receiver, and every write happens in the unpack phase after
+         the last round. *)
+      let send_phase r m =
+        let i = send_slot.(r).(m) in
+        if i >= 0 then begin
+          let tr = rounds.(r).(i) in
+          Network.send net ~src:m ~dst:tr.Schedule.dst_proc ~tag:r
+            ~addresses:[||] ~payload:round_bufs.(r).(i);
+          Lams_obs.Obs.add c_packed_bytes
+            (Network.bytes_per_element * tr.Schedule.elements)
+        end
       in
-      let recv_phase round m =
-        if Array.exists (fun tr -> tr.Schedule.dst_proc = m) round then
+      let recv_phase r m =
+        let i = recv_slot.(r).(m) in
+        if i >= 0 then begin
+          let tr = rounds.(r).(i) in
           List.iter
             (fun (msg : Network.message) ->
-              match
-                Array.find_opt
-                  (fun tr ->
-                    tr.Schedule.src_proc = msg.Network.src
-                    && tr.Schedule.dst_proc = m)
-                  round
-              with
-              | None ->
-                  invalid_arg "Executor.run: unscheduled message in round"
-              | Some tr ->
-                  unpack_side tr.Schedule.dst_side ~buf:msg.Network.payload
-                    ~data:(Local_store.data (Darray.local dst m)))
+              if msg.Network.src <> tr.Schedule.src_proc then
+                invalid_arg "Executor.run: unscheduled message in round";
+              received.(m) <-
+                (tr.Schedule.dst_side, msg.Network.payload) :: received.(m))
             (Network.receive_all net ~dst:m)
+        end
       in
       (try
-         Array.iteri
-           (fun r round ->
-             run_phase (send_phase r round);
-             run_phase (recv_phase round))
-           rounds
+         for r = 0 to Array.length rounds - 1 do
+           run_phase (send_phase r);
+           run_phase (recv_phase r)
+         done
        with e ->
          (* Don't leak this run's packed buffers (still referenced by
             posted-but-undrained messages) into a reused fabric. *)
          ignore (Network.purge net : int);
-         raise e)
+         raise e);
+      run_phase unpack_phase
   | Some cfg ->
+      (* The protocol unpacks on delivery (dedup and crash replay depend
+         on it), so only the self-transfers go through the unpack
+         phase, before the first round. *)
+      run_phase unpack_phase;
       let run_id = Atomic.fetch_and_add run_counter 1 in
       let delivered = Array.init p (fun _ -> Hashtbl.create 16) in
       let dst_data m = Local_store.data (Darray.local dst m) in

@@ -1,12 +1,16 @@
 (** Executor: run a communication schedule on the simulated machine.
 
-    A single pack phase gathers every outgoing buffer — all reads —
-    before any delivery writes, so source and destination may alias
-    (overlapping in-array shifts behave like the legacy two-phase
-    exchange). Self-transfers then unpack locally (no network) and each
-    round becomes a send phase and a receive phase separated by a
-    barrier ({!Lams_sim.Spmd.run} per phase, or domain-parallel with
-    [~parallel:true]). A round's transfers are contention-free, so every
+    Every phase is processor-major: rank [m] works on its own memory
+    only. A single pack phase has each source gather all its outgoing
+    buffers — every read — before any delivery writes, so source and
+    destination may alias (overlapping in-array shifts behave like the
+    legacy two-phase exchange). Each round is then a send phase and a
+    drain phase separated by a barrier ({!Lams_sim.Spmd.run} per phase,
+    or domain-parallel with [~parallel:true]); the drain only files each
+    received payload under its receiver. After the last round one
+    unpack phase has each destination scatter its self-transfers
+    (which never touch the network), then its received messages in
+    round order. A round's transfers are contention-free, so every
     mailbox sees at most one message per round
     ({!Lams_sim.Network.max_congestion} stays at 1) and phase order is
     the only synchronization needed. Messages are packed: sent with
@@ -16,7 +20,10 @@
     {b Fault tolerance.} On a fabric with an attached
     {!Lams_sim.Fault_model} the rounds run through the {!Reliable}
     protocol (enabled automatically, or explicitly with [~reliable]),
-    and crashed ranks are respawned from the [respawns] budget
+    which unpacks each transfer on its first delivery — dedup and crash
+    replay depend on that — so there the unpack phase covers only the
+    self-transfers, before the first round. Crashed ranks are respawned
+    from the [respawns] budget
     ({!Lams_sim.Spmd.run_protected}). The degradation ladder, top to
     bottom:
 
@@ -79,7 +86,7 @@ val run :
     [dst]. Returns the network used (created at machine size when [net]
     is absent) so callers can reuse it and read its accounting. With no
     fault model and no [reliable] config this is the plain seed path —
-    bit-identical results, phases and messages.
+    bit-identical results and messages.
     @raise Invalid_argument if the schedule was built for different
     machine sizes or [net] is too small.
     @raise Lams_sim.Spmd.Crash when the respawn budget is exhausted on

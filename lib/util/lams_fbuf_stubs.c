@@ -39,6 +39,10 @@ value lams_fbuf_blit(value vsrc, value vsrc_pos, value vdst, value vdst_pos,
   long count = Long_val(Field(vruns, (r) + 4));                \
   long stride = Long_val(Field(vruns, (r) + 5))
 
+/* Step-1 blocks of at most SHORT_RUN elements copy with an inline loop:
+ * below that, the memcpy call costs more than the copy (DESIGN.md §13). */
+#define SHORT_RUN 4
+
 /* Local store -> packed buffer, every run of a side in one call. */
 value lams_fbuf_gather_runs(value vruns, value vdata, value vbuf)
 {
@@ -52,6 +56,10 @@ value lams_fbuf_gather_runs(value vruns, value vdata, value vbuf)
     if (len == 1) {
       for (long j = 0; j < count; j++, src += stride)
         dst[j] = *src;
+    } else if (step == 1 && len <= SHORT_RUN) {
+      for (long j = 0; j < count; j++, src += stride, dst += len)
+        for (long i = 0; i < len; i++)
+          dst[i] = src[i];
     } else if (step == 1) {
       for (long j = 0; j < count; j++, src += stride, dst += len)
         memcpy(dst, src, (size_t)len * sizeof(double));
@@ -77,6 +85,10 @@ value lams_fbuf_scatter_runs(value vruns, value vbuf, value vdata)
     if (len == 1) {
       for (long j = 0; j < count; j++, dst += stride)
         *dst = src[j];
+    } else if (step == 1 && len <= SHORT_RUN) {
+      for (long j = 0; j < count; j++, dst += stride, src += len)
+        for (long i = 0; i < len; i++)
+          dst[i] = src[i];
     } else if (step == 1) {
       for (long j = 0; j < count; j++, dst += stride, src += len)
         memcpy(dst, src, (size_t)len * sizeof(double));

@@ -1,9 +1,10 @@
 (* The Bigarray data plane: Fbuf blit semantics, the blit executor
    against its element-loop twin and the legacy oracle (differential,
-   including descending sections and aliasing shifts), copy-before-
-   mutate under corrupt+duplicate faults, the payload buffer pool's
-   steady-state zero-allocation contract, and the access-accounting
-   boundary (counted element ops vs raw bulk paths). *)
+   sequential and domain-parallel, including descending sections and
+   aliasing shifts), copy-before-mutate under corrupt+duplicate faults,
+   the payload buffer pool's steady-state zero-allocation contract, the
+   access-accounting boundary (counted element ops vs raw bulk paths),
+   and the C run kernels against a reference loop. *)
 
 open Lams_util
 open Lams_dist
@@ -158,6 +159,8 @@ let sections_of (_, _, _, _, lo, count, stride, reversed) =
   (src_section, dst_section, hi + 1)
 
 let prop_blit_equals_elementwise_equals_legacy =
+  (* Both packings, sequential and domain-parallel, each on its own
+     fabric: one message per round transfer, never two in a mailbox. *)
   Tutil.qtest "blit executor = element-loop executor = legacy copy"
     gen_redistribution ~print:print_redistribution
     (fun ((sp, sk, dp, dk, _, _, _, _) as case) ->
@@ -167,46 +170,61 @@ let prop_blit_equals_elementwise_equals_legacy =
       ignore
         (Section_ops.copy ~src ~src_section ~dst:legacy ~dst_section ()
           : Network.t);
-      let blit = fresh_dst ~n ~p:dp ~k:dk in
-      ignore
-        (Executor.redistribute ~src ~src_section ~dst:blit ~dst_section ()
-          : Network.t);
-      let element = fresh_dst ~n ~p:dp ~k:dk in
-      ignore
-        (Executor.redistribute ~packing:Executor.Elementwise ~src
-           ~src_section ~dst:element ~dst_section ()
-          : Network.t);
-      Darray.equal_contents legacy blit
-      && Darray.equal_contents legacy element)
+      let sched =
+        Schedule.build
+          ~src_layout:(Layout.create ~p:sp ~k:sk)
+          ~src_section
+          ~dst_layout:(Layout.create ~p:dp ~k:dk)
+          ~dst_section
+      in
+      let round_transfers =
+        List.fold_left (fun acc r -> acc + List.length r) 0 sched.Schedule.rounds
+      in
+      List.for_all
+        (fun (packing, parallel) ->
+          let dst = fresh_dst ~n ~p:dp ~k:dk in
+          let net =
+            Executor.redistribute ~packing ~parallel ~src ~src_section ~dst
+              ~dst_section ()
+          in
+          Darray.equal_contents legacy dst
+          && Network.messages_sent net = round_transfers
+          && Network.max_congestion net <= 1)
+        [ (Executor.Blit, false); (Executor.Elementwise, false);
+          (Executor.Blit, true); (Executor.Elementwise, true) ])
 
 let prop_aliasing_shift_both_packings =
   (* A(dst_sec) = A(src_sec) with src == dst: packing must read
-     everything before any unpack writes, in both packing modes. *)
+     everything before any unpack writes, in both packing modes. A
+     source stride above 1 spreads the gather over several rounds. *)
   Tutil.qtest "aliasing shift: blit = element-loop = positional oracle"
     QCheck2.Gen.(
       let* p = int_range 1 6 in
       let* k = int_range 1 9 in
       let* count = int_range 2 90 in
       let* delta = int_range 1 5 in
+      let* stride = int_range 1 3 in
       let* descending = bool in
-      return (p, k, count, delta, descending))
-    ~print:(fun (p, k, count, delta, descending) ->
-      Printf.sprintf "p=%d k=%d count=%d delta=%d desc=%b" p k count delta
-        descending)
-    (fun (p, k, count, delta, descending) ->
-      let n = count + delta in
+      return (p, k, count, delta, stride, descending))
+    ~print:(fun (p, k, count, delta, stride, descending) ->
+      Printf.sprintf "p=%d k=%d count=%d delta=%d stride=%d desc=%b" p k
+        count delta stride descending)
+    (fun (p, k, count, delta, stride, descending) ->
+      let src_hi = (count - 1) * stride and dst_hi = delta + count - 1 in
+      let n = 1 + max src_hi dst_hi in
+      let orig g = float_of_int ((3 * g) + 2) in
       let mk () =
         Darray.of_array ~name:"alias" ~p
           ~dist:(Distribution.Block_cyclic k)
-          (Array.init n (fun g -> float_of_int ((3 * g) + 2)))
+          (Array.init n orig)
       in
       let src_section, dst_section =
         if descending then
-          ( Section.make ~lo:(count - 1) ~hi:0 ~stride:(-1),
-            Section.make ~lo:(n - 1) ~hi:delta ~stride:(-1) )
+          ( Section.make ~lo:src_hi ~hi:0 ~stride:(-stride),
+            Section.make ~lo:dst_hi ~hi:delta ~stride:(-1) )
         else
-          ( Section.make ~lo:0 ~hi:(count - 1) ~stride:1,
-            Section.make ~lo:delta ~hi:(n - 1) ~stride:1 )
+          ( Section.make ~lo:0 ~hi:src_hi ~stride,
+            Section.make ~lo:delta ~hi:dst_hi ~stride:1 )
       in
       let run packing =
         let a = mk () in
@@ -218,11 +236,10 @@ let prop_aliasing_shift_both_packings =
       in
       let got_blit = run Executor.Blit in
       let got_el = run Executor.Elementwise in
-      let want =
-        Array.init n (fun g ->
-            if g < delta then float_of_int ((3 * g) + 2)
-            else float_of_int ((3 * (g - delta)) + 2))
-      in
+      let want = Array.init n orig in
+      for j = 0 to count - 1 do
+        want.(Section.nth dst_section j) <- orig (Section.nth src_section j)
+      done;
       got_blit = want && got_el = want)
 
 (* --- Chaos: corrupt + duplicate against the Fbuf payloads ----------- *)
@@ -373,6 +390,52 @@ let test_accounting_boundary () =
   Tutil.check_int "map_section reads counted" (1 + n) (total_reads a);
   Tutil.check_int "map_section writes counted" (1 + n) (total_writes a)
 
+(* --- Run kernels against a reference loop --------------------------- *)
+
+(* One hand-built run per call, on both sides of the C kernels' inline
+   short-run cut (lengths 4 and 5), against the element loop the run
+   layout defines: cell [buf_pos + j*length + i] <-> local address
+   [start + j*local_stride + i*step]. Cells outside the run keep their
+   values. *)
+let test_run_kernels () =
+  for length = 1 to 9 do
+    List.iter
+      (fun step ->
+        for count = 1 to 5 do
+          for local_stride = length to (2 * length) + 3 do
+            let buf_pos = 1 + (length mod 3) in
+            let start = if step > 0 then 2 else 2 + length - 1 in
+            let local j i = start + (j * local_stride) + (i * step) in
+            let cell j i = buf_pos + (j * length) + i in
+            let runs = [| buf_pos; start; length; step; count; local_stride |] in
+            let data_len = start + ((count - 1) * local_stride) + length + 2 in
+            let buf_len = buf_pos + (count * length) + 2 in
+            let what =
+              Printf.sprintf "length=%d step=%d count=%d stride=%d" length
+                step count local_stride
+            in
+            let data = Fbuf.init data_len (fun a -> float_of_int (a + 1)) in
+            let buf = Fbuf.init buf_len (fun c -> -.float_of_int (c + 1)) in
+            let want_buf = Fbuf.copy buf and want_data = Fbuf.copy data in
+            for j = 0 to count - 1 do
+              for i = 0 to length - 1 do
+                Fbuf.set want_buf (cell j i) (Fbuf.get data (local j i));
+                Fbuf.set want_data (local j i) (Fbuf.get buf (cell j i))
+              done
+            done;
+            let gathered = Fbuf.copy buf in
+            Fbuf.unsafe_gather_runs runs data gathered;
+            Tutil.check_bool ("gather " ^ what) true
+              (Fbuf.equal gathered want_buf);
+            let scattered = Fbuf.copy data in
+            Fbuf.unsafe_scatter_runs runs buf scattered;
+            Tutil.check_bool ("scatter " ^ what) true
+              (Fbuf.equal scattered want_data)
+          done
+        done)
+      [ 1; -1 ]
+  done
+
 let suite =
   [ Alcotest.test_case "fbuf blit/fill_range semantics" `Quick
       test_fbuf_blit_semantics;
@@ -389,4 +452,6 @@ let suite =
     Alcotest.test_case "pool: buffers released and reused across runs"
       `Quick test_pool_released_on_failure;
     Alcotest.test_case "accounting: counted ops vs raw bulk paths" `Quick
-      test_accounting_boundary ]
+      test_accounting_boundary;
+    Alcotest.test_case "run kernels = reference loop, short and long runs"
+      `Quick test_run_kernels ]
