@@ -68,7 +68,8 @@ native-quick:
 
 # Serving gate: fork a `lams serve` daemon on a Unix socket, drive the
 # quick Zipf load through it twice (cold, then warmed), SIGTERM it, and
-# fail on any protocol error or a warmed hit rate below 90%. The full
+# fail on any protocol error or a warmed hit rate below 90%; then the
+# same with 64 clients, 16 connections per worker domain. The full
 # acceptance run is `dune exec bench/main.exe -- serve --json
 # BENCH_serve.json`.
 serve-quick:

@@ -1520,7 +1520,7 @@ let sched_capacity_arg =
 
 let serve_cmd =
   let run socket port host shards plan_capacity sched_capacity workers
-      batch_max high_water log_path rotate_after =
+      high_water log_path rotate_after =
     match address ~socket ~port ~host with
     | Error msg ->
         Printf.eprintf "error: %s\n" msg;
@@ -1532,7 +1532,6 @@ let serve_cmd =
             plan_capacity;
             sched_capacity;
             workers;
-            batch_max;
             high_water;
             log_path;
             rotate_after;
@@ -1548,21 +1547,16 @@ let serve_cmd =
   let workers_arg =
     Arg.(
       value & opt int 4
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains draining the queue.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Largest request batch one worker drains at once.")
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Worker domains, each owning the connections handed to it.")
   in
   let high_water_arg =
     Arg.(
       value & opt int 1024
       & info [ "high-water" ] ~docv:"N"
           ~doc:
-            "Shed (answer Overloaded) once the queue holds $(docv) \
-             requests; 0 sheds everything.")
+            "Requests one worker answers per readiness round; the rest \
+             are shed (answered Overloaded). 0 sheds everything.")
   in
   let rotate_arg =
     Arg.(
@@ -1573,8 +1567,8 @@ let serve_cmd =
   let term =
     Term.(
       const run $ socket_arg $ port_arg $ host_arg $ serve_shards_arg
-      $ plan_capacity_arg $ sched_capacity_arg $ workers_arg $ batch_arg
-      $ high_water_arg $ serve_log_arg $ rotate_arg)
+      $ plan_capacity_arg $ sched_capacity_arg $ workers_arg $ high_water_arg
+      $ serve_log_arg $ rotate_arg)
   in
   Cmd.v
     (Cmd.info "serve"

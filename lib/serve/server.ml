@@ -7,7 +7,6 @@ type config = {
   plan_capacity : int;
   sched_capacity : int;
   workers : int;
-  batch_max : int;
   high_water : int;
   log_path : string option;
   rotate_after : int;
@@ -19,7 +18,6 @@ let default_config =
     plan_capacity = 4096;
     sched_capacity = 1024;
     workers = 4;
-    batch_max = 64;
     high_water = 1024;
     log_path = None;
     rotate_after = 65536;
@@ -34,12 +32,45 @@ type counters = {
   shed : int;
   protocol_errors : int;
   connections : int;
+  refused : int;
   replayed : int;
 }
 
-type conn = { fd : Unix.file_descr; wmutex : Mutex.t; mutable alive : bool }
+(* [Open] reads and writes; [Closing] reads no more and is closed once
+   its output is written; [Broken] (a failed read or write) is closed at
+   the end of the round, its output dropped. *)
+type state = Open | Closing | Broken
+
+(* A connection belongs to one worker domain for its whole life: only
+   that worker reads, writes or closes [fd]. [inbuf.[in_pos .. in_pos +
+   in_len)] is input not yet cut into frames; [out] holds the response
+   frames not yet written, the first one from [out_off], [out_bytes] in
+   all. *)
+type conn = {
+  fd : Unix.file_descr;
+  mutable inbuf : bytes;
+  mutable in_pos : int;
+  mutable in_len : int;
+  out : bytes Queue.t;
+  mutable out_off : int;
+  mutable out_bytes : int;
+  mutable state : state;
+}
 
 type job = { conn : conn; id : int; req : Wire.request; t0 : int64 }
+
+(* The listener pushes accepted sockets onto [inbox] and writes a byte
+   to [wake_w]; the worker, woken through [wake_r], adopts them into
+   [conns], which no other thread touches. [quit] is set by [stop] once
+   the listener has handed off its last socket. *)
+type worker = {
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  inbox_mutex : Mutex.t;
+  mutable inbox : Unix.file_descr list;
+  mutable quit : bool;
+  conns : (Unix.file_descr, conn) Hashtbl.t;
+}
 
 type t = {
   cfg : config;
@@ -49,23 +80,19 @@ type t = {
   scheds : Store.Sched_store.t;
   log : Plan_log.t option;
   replayed : int;
-  queue : job Queue.t;
-  qmutex : Mutex.t;
-  qcond : Condition.t;
+  workers : worker array;
+  mutable next_worker : int;
   stopping : bool Atomic.t;
-  stopped : bool Atomic.t;
   c_requests : int Atomic.t;
   c_hits : int Atomic.t;
   c_batched : int Atomic.t;
   c_shed : int Atomic.t;
   c_protocol_errors : int Atomic.t;
   c_connections : int Atomic.t;
+  c_refused : int Atomic.t;
   lat_mutex : Mutex.t;
   lat_ring : float array;
   mutable lat_count : int;
-  conns_mutex : Mutex.t;
-  mutable conns : conn list;
-  mutable readers : Thread.t list;
   mutable worker_domains : unit Domain.t list;
   mutable listener : Thread.t option;
 }
@@ -92,31 +119,41 @@ let group_by key items =
     items;
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
 
-(* Only the connection's reader thread ever [close]s the descriptor —
-   everyone else at most [shutdown]s it, which wakes the reader without
-   freeing the fd number, so a blocked read never races a reuse. *)
-let close_conn conn =
-  Mutex.lock conn.wmutex;
-  if conn.alive then begin
-    conn.alive <- false;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end;
-  Mutex.unlock conn.wmutex
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let shutdown_conn conn =
-  Mutex.lock conn.wmutex;
-  (if conn.alive then
-     try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  Mutex.unlock conn.wmutex
+(* Write [conn]'s pending output as far as the socket takes it. *)
+let rec flush conn =
+  match Queue.peek_opt conn.out with
+  | None -> ()
+  | Some frame -> (
+      let len = Bytes.length frame - conn.out_off in
+      match Unix.single_write conn.fd frame conn.out_off len with
+      | n ->
+          conn.out_bytes <- conn.out_bytes - n;
+          if n = len then begin
+            ignore (Queue.pop conn.out : bytes);
+            conn.out_off <- 0;
+            flush conn
+          end
+          else conn.out_off <- conn.out_off + n
+      | exception
+          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          ()
+      | exception Unix.Unix_error _ ->
+          Queue.clear conn.out;
+          conn.out_bytes <- 0;
+          conn.state <- Broken)
 
+(* Queue one answer, and write it at once if nothing is ahead of it. *)
 let respond conn id resp =
-  Mutex.lock conn.wmutex;
-  (if conn.alive then
-     try Wire.write_frame conn.fd (Wire.encode_response ~id resp)
-     with Unix.Unix_error _ | Sys_error _ -> (
-       conn.alive <- false;
-       try Unix.close conn.fd with Unix.Unix_error _ -> ()));
-  Mutex.unlock conn.wmutex
+  if conn.state <> Broken then begin
+    let frame = Wire.frame (Wire.encode_response ~id resp) in
+    let idle = Queue.is_empty conn.out in
+    Queue.push frame conn.out;
+    conn.out_bytes <- conn.out_bytes + Bytes.length frame;
+    if idle then flush conn
+  end
 
 let record_latency t t0 =
   let us = Int64.to_float (Int64.sub (Timer.now_ns ()) t0) /. 1e3 in
@@ -150,6 +187,7 @@ let counters t =
     shed = Atomic.get t.c_shed;
     protocol_errors = Atomic.get t.c_protocol_errors;
     connections = Atomic.get t.c_connections;
+    refused = Atomic.get t.c_refused;
     replayed = t.replayed;
   }
 
@@ -168,6 +206,7 @@ let stats_payload t =
         ("serve.shed", c.shed);
         ("serve.protocol_errors", c.protocol_errors);
         ("serve.connections", c.connections);
+        ("serve.refused", c.refused);
         ("serve.replayed", c.replayed);
         ("serve.plan_store.size", ps.size);
         ("serve.plan_store.hits", ps.hits);
@@ -280,84 +319,239 @@ let process_batch t jobs =
     (fun (key, members) -> process_sched_group t key (List.map snd members))
     (group_by fst (List.rev !sched_ok))
 
-let rec worker_loop t =
-  Mutex.lock t.qmutex;
-  while Queue.is_empty t.queue && not (Atomic.get t.stopping) do
-    Condition.wait t.qcond t.qmutex
-  done;
-  if Queue.is_empty t.queue then Mutex.unlock t.qmutex
-    (* stopping, and fully drained *)
-  else begin
-    let batch = ref [] and n = ref 0 in
-    while !n < t.cfg.batch_max && not (Queue.is_empty t.queue) do
-      batch := Queue.take t.queue :: !batch;
-      incr n
-    done;
-    Mutex.unlock t.qmutex;
-    (try process_batch t (List.rev !batch) with _ -> ());
-    worker_loop t
-  end
-
 let shed t job =
   Atomic.incr t.c_shed;
   Obs.incr obs_shed;
   respond job.conn job.id Wire.Overloaded
 
-let enqueue t job =
-  Atomic.incr t.c_requests;
-  Obs.incr obs_requests;
-  if Atomic.get t.stopping then shed t job
-  else begin
-    Mutex.lock t.qmutex;
-    if Queue.length t.queue >= t.cfg.high_water then begin
-      Mutex.unlock t.qmutex;
-      shed t job
-    end
-    else begin
-      Queue.push job t.queue;
-      Condition.signal t.qcond;
-      Mutex.unlock t.qmutex
-    end
-  end
-
 let protocol_error t conn fe =
   Atomic.incr t.c_protocol_errors;
   let code, msg = Wire.error_of_frame_error fe in
+  conn.state <- Closing;
   respond conn 0 (Wire.Error (code, msg))
 
-let rec reader_loop t conn =
-  match Wire.read_frame conn.fd with
-  | exception Unix.Unix_error _ -> close_conn conn
-  | `Eof -> close_conn conn
-  | `Error fe ->
-      protocol_error t conn fe;
-      close_conn conn
-  | `Frame payload -> (
-      match Wire.decode_request payload with
-      | Error fe ->
-          protocol_error t conn fe;
-          close_conn conn
-      | Ok (id, req) ->
-          enqueue t { conn; id; req; t0 = Timer.now_ns () };
-          reader_loop t conn)
+(* Answer one round's requests: the first [cap] as one batch, the rest
+   [Overloaded] after it, so a connection's answers keep its request
+   order wherever the batch does. *)
+let serve_round t jobs ~cap =
+  let rec split n served = function
+    | job :: rest when n < cap -> split (n + 1) (job :: served) rest
+    | excess -> (List.rev served, excess)
+  in
+  let served, excess = split 0 [] jobs in
+  (try process_batch t served with _ -> ());
+  List.iter (shed t) excess
+
+(* Space kept free in an input buffer before each read. *)
+let min_read = 4096
+
+(* A connection whose unwritten output passes this many bytes is not
+   read until the peer takes some of it, so a client that never reads
+   holds a bounded amount of the daemon's memory. *)
+let out_cap = 1 lsl 20
+
+let make_room conn =
+  let cap = Bytes.length conn.inbuf in
+  if conn.in_pos + conn.in_len + min_read > cap then begin
+    let data =
+      if conn.in_len + min_read <= cap then conn.inbuf
+      else Bytes.create (max (2 * cap) (conn.in_len + min_read))
+    in
+    Bytes.blit conn.inbuf conn.in_pos data 0 conn.in_len;
+    conn.inbuf <- data;
+    conn.in_pos <- 0
+  end
+
+(* Cut every whole frame out of [conn]'s input, in arrival order. A
+   framing or decoding error is answered and ends the connection. *)
+let rec cut_requests t conn ~eof acc =
+  if conn.state <> Open then List.rev acc
+  else
+    match Wire.cut_frame conn.inbuf ~pos:conn.in_pos ~len:conn.in_len ~eof with
+    | `Need_more -> List.rev acc
+    | `Eof ->
+        conn.state <- Closing;
+        List.rev acc
+    | `Error fe ->
+        protocol_error t conn fe;
+        List.rev acc
+    | `Frame (payload, used) -> (
+        conn.in_pos <- conn.in_pos + used;
+        conn.in_len <- conn.in_len - used;
+        match Wire.decode_request payload with
+        | Error fe ->
+            protocol_error t conn fe;
+            List.rev acc
+        | Ok (id, req) ->
+            Atomic.incr t.c_requests;
+            Obs.incr obs_requests;
+            cut_requests t conn ~eof
+              ({ conn; id; req; t0 = Timer.now_ns () } :: acc))
+
+(* One non-blocking read, then every whole frame it completed. *)
+let read_requests t conn =
+  make_room conn;
+  let free = Bytes.length conn.inbuf - conn.in_pos - conn.in_len in
+  match Unix.read conn.fd conn.inbuf (conn.in_pos + conn.in_len) free with
+  | 0 -> cut_requests t conn ~eof:true []
+  | n ->
+      conn.in_len <- conn.in_len + n;
+      cut_requests t conn ~eof:false []
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+      []
+  | exception Unix.Unix_error _ ->
+      conn.state <- Broken;
+      []
+
+let wake_byte = Bytes.make 1 'w'
+
+(* A full pipe already holds a pending wake-up. *)
+let wake w =
+  try ignore (Unix.single_write w.wake_w wake_byte 0 1 : int)
+  with Unix.Unix_error _ -> ()
+
+(* Empty the wake pipe, take over the sockets handed off since the last
+   round, and say whether [stop] has asked this worker to finish. *)
+let adopt w =
+  let scratch = Bytes.create 64 in
+  (try
+     while Unix.read w.wake_r scratch 0 64 > 0 do
+       ()
+     done
+   with Unix.Unix_error _ -> ());
+  Mutex.lock w.inbox_mutex;
+  let fds = w.inbox and quit = w.quit in
+  w.inbox <- [];
+  Mutex.unlock w.inbox_mutex;
+  List.iter
+    (fun fd ->
+      match Unix.set_nonblock fd with
+      | () ->
+          Hashtbl.replace w.conns fd
+            {
+              fd;
+              inbuf = Bytes.create min_read;
+              in_pos = 0;
+              in_len = 0;
+              out = Queue.create ();
+              out_off = 0;
+              out_bytes = 0;
+              state = Open;
+            }
+      | exception Unix.Unix_error _ -> close_fd fd)
+    fds;
+  quit
+
+let reap w =
+  Hashtbl.filter_map_inplace
+    (fun fd conn ->
+      match conn.state with
+      | Open -> Some conn
+      | Closing when conn.out_bytes > 0 -> Some conn
+      | Closing | Broken ->
+          close_fd fd;
+          None)
+    w.conns
+
+let pending w =
+  Hashtbl.fold
+    (fun fd conn acc -> if conn.out_bytes > 0 then fd :: acc else acc)
+    w.conns []
+
+(* How long a stopping worker waits for its peers to take what it owes
+   them. *)
+let drain_wait = 0.5
+
+(* The last round: read every connection once more and shed what it
+   sent, write what is owed within [drain_wait], close everything. *)
+let finish_worker t w =
+  let jobs =
+    Hashtbl.fold
+      (fun _ conn acc ->
+        if conn.state = Open then read_requests t conn @ acc else acc)
+      w.conns []
+  in
+  List.iter (shed t) jobs;
+  let deadline = Unix.gettimeofday () +. drain_wait in
+  let rec drain () =
+    let left = deadline -. Unix.gettimeofday () in
+    match pending w with
+    | [] -> ()
+    | _ when left <= 0. -> ()
+    | fds -> (
+        match Unix.select [] fds [] left with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+        | _, [], _ -> ()
+        | _, ready, _ ->
+            List.iter (fun fd -> flush (Hashtbl.find w.conns fd)) ready;
+            drain ())
+  in
+  drain ();
+  Hashtbl.iter (fun fd _ -> close_fd fd) w.conns;
+  Hashtbl.reset w.conns
+
+(* One readiness round over the worker's own sockets: adopt new ones,
+   write what the sockets now take, read every readable connection once
+   and answer all the whole frames that arrived, as one batch. *)
+let rec worker_loop t w =
+  let reads =
+    Hashtbl.fold
+      (fun fd conn acc ->
+        if conn.state = Open && conn.out_bytes <= out_cap then fd :: acc
+        else acc)
+      w.conns [ w.wake_r ]
+  in
+  match Unix.select reads (pending w) [] (-1.) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> worker_loop t w
+  | readable, writable, _ ->
+      let quit = List.mem w.wake_r readable && adopt w in
+      List.iter (fun fd -> flush (Hashtbl.find w.conns fd)) writable;
+      let jobs =
+        List.concat_map
+          (fun fd ->
+            if fd = w.wake_r then []
+            else read_requests t (Hashtbl.find w.conns fd))
+          readable
+      in
+      serve_round t jobs ~cap:t.cfg.high_water;
+      reap w;
+      if quit then finish_worker t w else worker_loop t w
+
+(* [Unix.select] rejects a descriptor at or past FD_SETSIZE (EINVAL): a
+   socket no worker could watch is closed at the door. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+let hand_off t fd =
+  if selectable fd then begin
+    Atomic.incr t.c_connections;
+    let w = t.workers.(t.next_worker) in
+    t.next_worker <- (t.next_worker + 1) mod Array.length t.workers;
+    Mutex.lock w.inbox_mutex;
+    w.inbox <- fd :: w.inbox;
+    Mutex.unlock w.inbox_mutex;
+    wake w
+  end
+  else begin
+    Atomic.incr t.c_refused;
+    close_fd fd
+  end
 
 let rec listener_loop t =
-  if not (Atomic.get t.stopping) then
-    match Unix.select [ t.listen_fd ] [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> listener_loop t
-    | [], _, _ -> listener_loop t
+  if not (Atomic.get t.stopping) then begin
+    (match Unix.select [ t.listen_fd ] [] [] 0.25 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ -> ()
     | _ -> (
         match Unix.accept t.listen_fd with
-        | exception Unix.Unix_error _ -> listener_loop t
-        | fd, _ ->
-            let conn = { fd; wmutex = Mutex.create (); alive = true } in
-            Atomic.incr t.c_connections;
-            Mutex.lock t.conns_mutex;
-            t.conns <- conn :: t.conns;
-            let th = Thread.create (fun () -> reader_loop t conn) () in
-            t.readers <- th :: t.readers;
-            Mutex.unlock t.conns_mutex;
-            listener_loop t)
+        | exception Unix.Unix_error _ -> ()
+        | fd, _ -> hand_off t fd));
+    listener_loop t
+  end
 
 let bind_address addr =
   match addr with
@@ -381,6 +575,19 @@ let bind_address addr =
       Unix.listen fd 128;
       fd
 
+let new_worker () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  {
+    wake_r;
+    wake_w;
+    inbox_mutex = Mutex.create ();
+    inbox = [];
+    quit = false;
+    conns = Hashtbl.create 16;
+  }
+
 let start cfg addr =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -389,7 +596,6 @@ let start cfg addr =
       cfg with
       shards = max 1 cfg.shards;
       workers = max 1 cfg.workers;
-      batch_max = max 1 cfg.batch_max;
       high_water = max 0 cfg.high_water;
     }
   in
@@ -416,49 +622,50 @@ let start cfg addr =
       scheds;
       log;
       replayed;
-      queue = Queue.create ();
-      qmutex = Mutex.create ();
-      qcond = Condition.create ();
+      workers = Array.init cfg.workers (fun _ -> new_worker ());
+      next_worker = 0;
       stopping = Atomic.make false;
-      stopped = Atomic.make false;
       c_requests = Atomic.make 0;
       c_hits = Atomic.make 0;
       c_batched = Atomic.make 0;
       c_shed = Atomic.make 0;
       c_protocol_errors = Atomic.make 0;
       c_connections = Atomic.make 0;
+      c_refused = Atomic.make 0;
       lat_mutex = Mutex.create ();
       lat_ring = Array.make 8192 0.;
       lat_count = 0;
-      conns_mutex = Mutex.create ();
-      conns = [];
-      readers = [];
       worker_domains = [];
       listener = None;
     }
   in
   t.worker_domains <-
-    List.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+    Array.to_list
+      (Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers);
   t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
   t
 
 let stop t =
-  if Atomic.compare_and_set t.stopped false true then begin
-    Atomic.set t.stopping true;
-    Mutex.lock t.qmutex;
-    Condition.broadcast t.qcond;
-    Mutex.unlock t.qmutex;
-    (match t.listener with Some th -> Thread.join th | None -> ());
-    (* Workers exit only once the queue is empty, so joining them here is
-       the drain: every job accepted before the stop gets its answer
-       while its connection is still up. *)
+  if Atomic.compare_and_set t.stopping false true then begin
+    (* Once the listener is joined no socket is in flight to a worker,
+       so a worker told to quit owns every connection it will ever get.
+       Each answers what it has read, sheds what one last read brings,
+       writes what it owes and closes its connections. *)
+    Option.iter Thread.join t.listener;
+    Array.iter
+      (fun w ->
+        Mutex.lock w.inbox_mutex;
+        w.quit <- true;
+        Mutex.unlock w.inbox_mutex;
+        wake w)
+      t.workers;
     List.iter Domain.join t.worker_domains;
-    Mutex.lock t.conns_mutex;
-    let conns = t.conns and readers = t.readers in
-    Mutex.unlock t.conns_mutex;
-    List.iter shutdown_conn conns;
-    List.iter Thread.join readers;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    close_fd t.listen_fd;
+    Array.iter
+      (fun w ->
+        close_fd w.wake_r;
+        close_fd w.wake_w)
+      t.workers;
     (match t.log with
     | None -> ()
     | Some log ->

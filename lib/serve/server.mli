@@ -1,35 +1,55 @@
 (** The plan-compilation daemon behind [lams serve].
 
-    One listener thread accepts connections; a reader thread per
-    connection decodes frames and enqueues jobs; a pool of worker
-    {e domains} drains the queue in batches, groups jobs that share a
-    canonical cache key, resolves each group with {e one} store lookup
-    (one build on a miss) and fans the rebased digests back out. Lookups
-    go through the sharded stores ({!Store}), so workers contend only on
-    same-shard keys, never on a global cache mutex.
+    {b Connections.} One listener thread accepts sockets and hands each
+    one, round-robin, to a worker {e domain} (an inbox under a mutex
+    and one byte down the worker's wake pipe). That worker owns the
+    connection for its whole life: it alone reads, writes and closes
+    it. Each worker multiplexes its non-blocking sockets with
+    [Unix.select]; in one readiness round it reads every readable
+    connection once, cuts the whole frames out of that connection's
+    input buffer ({!Wire.cut_frame}) and answers them all inline as one
+    batch — requests that share a canonical cache key are resolved with
+    {e one} store lookup (one build on a miss) and the rebased digests
+    fanned back out ({!group_by}). Answers queue per connection and are
+    written as far as the socket takes them. Lookups go through the
+    sharded stores ({!Store}), so workers contend only on same-shard
+    keys. The daemon runs the main thread, the listener and the workers,
+    whatever the number of clients.
 
-    Back-pressure is load shedding: once the queue holds
-    [high_water] jobs, new requests are answered [Overloaded]
-    immediately instead of queued ([high_water = 0] sheds everything — a
-    test hook). Shutdown is graceful: the queue is drained and every
-    enqueued job answered, then connections close and the plan log is
-    flushed — so a SIGTERM never loses logged keys or strands an
-    accepted request. *)
+    {b Bounds.} A connection whose unwritten output passes 1 MiB is not
+    read until its peer takes some, so a client that never reads holds
+    a bounded share of memory and stalls nobody else. A round answers
+    at most [high_water] requests per worker; the rest get [Overloaded]
+    ([high_water = 0] sheds everything — a test hook). [Unix.select]
+    cannot watch a descriptor at or past FD_SETSIZE (1024 on Linux), so
+    a socket accepted on such a descriptor is closed at once and counted
+    in [refused]; in a process of its own that caps the daemon near a
+    thousand live connections.
+
+    {b Stop.} [stop] stops the listener, then has each worker answer
+    what it has read, read every connection once more and answer each
+    whole frame there [Overloaded], write what it owes (waiting at most
+    half a second for slow peers) and close its connections; the plan
+    log is flushed last. Every request the daemon has read is answered,
+    and a SIGTERM never loses a logged key. *)
 
 type config = {
   shards : int;  (** store shards (clamped to [>= 1]) *)
   plan_capacity : int;
   sched_capacity : int;
-  workers : int;  (** worker domains (clamped to [>= 1]) *)
-  batch_max : int;  (** max jobs drained per batch *)
-  high_water : int;  (** shed above this queue depth; [0] sheds all *)
+  workers : int;
+      (** worker domains, each owning the connections handed to it
+          (clamped to [>= 1]) *)
+  high_water : int;
+      (** requests one worker answers per readiness round; the excess
+          is shed, and [0] sheds all *)
   log_path : string option;  (** plan log; [None] disables persistence *)
   rotate_after : int;  (** rotate the log every this many appends *)
 }
 
 val default_config : config
-(** 8 shards (or domain count), 4096/1024 capacities, 4 workers,
-    batch 64, high water 1024, no log, rotate every 65536 appends. *)
+(** 8 shards, 4096/1024 capacities, 4 workers, high water 1024, no log,
+    rotate every 65536 appends. *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
 
@@ -39,15 +59,16 @@ type counters = {
   batched : int;  (** fan-out members beyond each group's leader *)
   shed : int;  (** [Overloaded] answers *)
   protocol_errors : int;  (** framing/decode failures answered [Error] *)
-  connections : int;  (** connections accepted over the lifetime *)
+  connections : int;  (** connections served over the lifetime *)
+  refused : int;  (** sockets closed on accept: descriptor past FD_SETSIZE *)
   replayed : int;  (** entries warmed from the plan log at startup *)
 }
 
 type t
 
 val start : config -> address -> t
-(** Bind, replay the plan log (if any), spawn workers and the listener.
-    An existing socket file at a [`Unix] path is replaced.
+(** Bind, replay the plan log (if any), spawn the workers and the
+    listener. An existing socket file at a [`Unix] path is replaced.
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val stop : t -> unit

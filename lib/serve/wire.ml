@@ -463,6 +463,9 @@ let rec read_exactly fd buf pos len =
     let n = Unix.read fd buf pos len in
     if n = 0 then false else read_exactly fd buf (pos + n) (len - n)
 
+let payload_length buf pos =
+  Int32.to_int (Bytes.get_int32_be buf pos) land 0xffffffff
+
 let read_frame fd =
   let hdr = Bytes.create 4 in
   match Unix.read fd hdr 0 1 with
@@ -470,25 +473,39 @@ let read_frame fd =
   | _ -> (
       if not (read_exactly fd hdr 1 3) then `Error Truncated
       else
-        let len = Int32.to_int (Bytes.get_int32_be hdr 0) land 0xffffffff in
+        let len = payload_length hdr 0 in
         if len > max_frame then `Error (Oversized len)
         else
           let buf = Bytes.create len in
           if read_exactly fd buf 0 len then `Frame buf else `Error Truncated)
 
-let write_frame fd payload =
+let cut_frame buf ~pos ~len ~eof =
+  if len < 4 then
+    if not eof then `Need_more else if len = 0 then `Eof else `Error Truncated
+  else
+    let n = payload_length buf pos in
+    if n > max_frame then `Error (Oversized n)
+    else if len >= 4 + n then `Frame (Bytes.sub buf (pos + 4) n, 4 + n)
+    else if eof then `Error Truncated
+    else `Need_more
+
+let frame payload =
   let len = Bytes.length payload in
-  if len > max_frame then invalid_arg "Wire.write_frame: payload too large";
+  if len > max_frame then invalid_arg "Wire.frame: payload too large";
   let out = Bytes.create (4 + len) in
   Bytes.set_int32_be out 0 (Int32.of_int len);
   Bytes.blit payload 0 out 4 len;
+  out
+
+let write_frame fd payload =
+  let out = frame payload in
   let rec push pos remaining =
     if remaining > 0 then begin
       let n = Unix.write fd out pos remaining in
       push (pos + n) (remaining - n)
     end
   in
-  push 0 (4 + len)
+  push 0 (Bytes.length out)
 
 (* --- Printers --- *)
 

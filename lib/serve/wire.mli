@@ -105,7 +105,9 @@ type response =
   | Redist_digest of redist_digest
   | Stats_reply of stats_payload
   | Error of error_code * string
-  | Overloaded  (** shed: the in-flight queue passed the high-water mark *)
+  | Overloaded
+      (** shed: past the worker's high-water mark for one round, or read
+          while the daemon stops *)
 
 (** {1 Codec} *)
 
@@ -142,8 +144,29 @@ val read_frame : Unix.file_descr -> [ `Frame of bytes | `Eof | `Error of frame_e
     propagate. *)
 
 val write_frame : Unix.file_descr -> bytes -> unit
-(** Write the 4-byte length prefix and the payload, looping over short
-    writes. *)
+(** Write {!frame}[ payload], looping over short writes. *)
+
+val frame : bytes -> bytes
+(** The payload behind its 4-byte big-endian length prefix: the bytes
+    {!write_frame} puts on the socket.
+    @raise Invalid_argument above {!max_frame}. *)
+
+val cut_frame :
+  bytes ->
+  pos:int ->
+  len:int ->
+  eof:bool ->
+  [ `Frame of bytes * int | `Need_more | `Eof | `Error of frame_error ]
+(** The incremental form of {!read_frame}, for a reader that buffers
+    what a non-blocking socket gives it. Looks for a frame at the start
+    of [buf.[pos .. pos + len)]:
+    - [`Frame (payload, used)]: a whole frame, taking [used] bytes;
+    - [`Need_more]: the frame is not all there yet;
+    - [`Error (Oversized n)] as soon as the prefix is buffered, before
+      any of the body.
+    With [~eof:true] no more bytes will come: an empty range is [`Eof],
+    a partial frame [`Error Truncated] — the answers {!read_frame} gives
+    on the same stream. *)
 
 (** {1 Hashing} *)
 

@@ -235,7 +235,42 @@ let test_read_frame_limits () =
       Unix.close w;
       match Wire.read_frame r with
       | `Eof -> ()
-      | _ -> Alcotest.fail "EOF at boundary must be Eof")
+      | _ -> Alcotest.fail "EOF at boundary must be Eof");
+  (* The same three streams through the incremental cutter, placed past
+     some already-consumed bytes. *)
+  let buffered bytes =
+    let b = Bytes.cat (Bytes.make 5 'z') bytes in
+    (b, Bytes.length bytes)
+  in
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int (Wire.max_frame + 1));
+  let b, len = buffered hdr in
+  (match Wire.cut_frame b ~pos:5 ~len ~eof:false with
+  | `Error (Wire.Oversized n) ->
+      Tutil.check_int "cutter: oversized length echoed" (Wire.max_frame + 1) n
+  | _ -> Alcotest.fail "cutter: oversized prefix must be rejected unbuffered");
+  Bytes.set_int32_be hdr 0 10l;
+  let b, len = buffered (Bytes.cat hdr (Bytes.make 3 'x')) in
+  (match Wire.cut_frame b ~pos:5 ~len ~eof:false with
+  | `Need_more -> ()
+  | _ -> Alcotest.fail "cutter: a partial frame needs more");
+  (match Wire.cut_frame b ~pos:5 ~len ~eof:true with
+  | `Error Wire.Truncated -> ()
+  | _ -> Alcotest.fail "cutter: EOF mid-frame must be Truncated");
+  (match Wire.cut_frame b ~pos:5 ~len:2 ~eof:true with
+  | `Error Wire.Truncated -> ()
+  | _ -> Alcotest.fail "cutter: EOF mid-prefix must be Truncated");
+  (match Wire.cut_frame b ~pos:5 ~len:0 ~eof:true with
+  | `Eof -> ()
+  | _ -> Alcotest.fail "cutter: EOF at boundary must be Eof");
+  (* A whole frame, followed by the start of the next. *)
+  let payload = Bytes.of_string "hello" in
+  let b, len = buffered (Bytes.cat (Wire.frame payload) hdr) in
+  match Wire.cut_frame b ~pos:5 ~len ~eof:false with
+  | `Frame (got, used) ->
+      Tutil.check_bool "cutter: payload" true (Bytes.equal got payload);
+      Tutil.check_int "cutter: prefix and payload consumed" 9 used
+  | _ -> Alcotest.fail "cutter: a whole frame must be cut"
 
 (* ------------------------------------------------------------------ *)
 (* Batching helper                                                     *)
@@ -713,6 +748,274 @@ let test_server_warm_restart () =
                   | r ->
                       Alcotest.fail (Format.asprintf "%a" Wire.pp_response r)))))
 
+(* ------------------------------------------------------------------ *)
+(* Bounded resources, framing and stop                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Some (f ())] if [f], run in a thread, returns within [secs]; [None]
+   otherwise, leaving the thread behind, so a hang fails the test
+   instead of hanging the suite. *)
+let within secs f =
+  let result = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+        Thread.join th;
+        Some (match r with Ok v -> v | Error e -> raise e)
+    | None when Unix.gettimeofday () > deadline -> None
+    | None ->
+        Thread.delay 0.002;
+        wait ()
+  in
+  wait ()
+
+let thread_count () =
+  if Sys.file_exists "/proc/self/task" then
+    Some (Array.length (Sys.readdir "/proc/self/task"))
+  else None
+
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_UNIX path)
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* What the daemon must answer for a plan request, hit flag aside. *)
+let expected_plan =
+  let store = Store.Plan_store.create ~capacity:1024 () in
+  fun r ->
+    let key, _, local_shift = Result.get_ok (Store.Plan_store.key_of_req r) in
+    let v, _ = Store.Plan_store.find_key store key in
+    Store.Plan_store.digest v ~local_shift ~hit:false
+
+let right_plan r = function
+  | Wire.Plan_digest d -> { d with Wire.plan_hit = false } = expected_plan r
+  | _ -> false
+
+let plan_req i = { Wire.p = 1 + (i mod 5); k = 8; s = 1 + i; l = 3; u = 2000 }
+
+let test_server_bounded_threads () =
+  let path = temp_sock () in
+  let t = Server.start small_cfg (`Unix path) in
+  (* One answered request per worker first: a domain's runtime threads
+     come up after [Domain.spawn] returns. *)
+  List.iter
+    (fun i ->
+      let c = Client.connect (`Unix path) in
+      ignore (Client.plan c (plan_req i) : Wire.response);
+      Client.close c)
+    [ 0; 1 ];
+  let before = thread_count () in
+  let idle = List.init 200 (fun _ -> raw_connect path) in
+  let hog = raw_connect path in
+  Fun.protect
+    ~finally:(fun () -> List.iter close_quietly (hog :: idle))
+    (fun () ->
+      (* The hog writes requests until its socket stays full — the
+         daemon has stopped reading it, with a bounded backlog of answers
+         it cannot deliver — and never reads one. *)
+      Unix.set_nonblock hog;
+      let frame =
+        Wire.frame (Wire.encode_request ~id:1 (Wire.Plan (plan_req 0)))
+      in
+      let len = Bytes.length frame in
+      let rec flood sent off =
+        if sent > 100_000 then
+          Alcotest.fail "the daemon keeps reading a client that never reads";
+        match Unix.single_write hog frame off (len - off) with
+        | n when off + n = len -> flood (sent + 1) 0
+        | n -> flood sent (off + n)
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          -> (
+            match Unix.select [] [ hog ] [] 0.2 with
+            | _, [], _ -> sent
+            | _ -> flood sent off)
+      in
+      ignore (flood 0 0 : int);
+      let deadline = Unix.gettimeofday () +. 10. in
+      while
+        (Server.counters t).connections < 203
+        && Unix.gettimeofday () < deadline
+      do
+        Thread.delay 0.005
+      done;
+      Tutil.check_int "every connection handed to a worker" 203
+        (Server.counters t).connections;
+      (match (before, thread_count ()) with
+      | Some b, Some a ->
+          Tutil.check_int "thread count independent of the clients" b a
+      | _ -> ());
+      let fresh () =
+        let c = Client.connect (`Unix path) in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            List.for_all
+              (fun i ->
+                let r = plan_req i in
+                right_plan r (Client.plan c r))
+              (List.init 100 Fun.id))
+      in
+      (match within 10. fresh with
+      | None -> Alcotest.fail "a fresh client got no answers within 10 s"
+      | Some ok ->
+          Tutil.check_bool "fresh client: 100 correct digests" true ok);
+      match within 2. (fun () -> Server.stop t) with
+      | None -> Alcotest.fail "stop took more than 2 s"
+      | Some () -> ())
+
+let test_server_descriptor_cap () =
+  with_server ~cfg:small_cfg (fun _ addr ->
+      let clients = ref [] in
+      let rec open_more n =
+        if n >= 1100 then n
+        else
+          match Client.connect addr with
+          | c ->
+              clients := c :: !clients;
+              open_more (n + 1)
+          | exception Unix.Unix_error (Unix.EMFILE, _, _) -> n
+      in
+      let opened =
+        Fun.protect
+          ~finally:(fun () -> List.iter Client.close !clients)
+          (fun () ->
+            let opened = open_more 0 in
+            let earliest = List.nth !clients (opened - 1) in
+            let r = plan_req 7 in
+            Tutil.check_bool "the earliest connection is still served" true
+              (right_plan r (Client.plan earliest r));
+            opened)
+      in
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let r = plan_req 8 in
+          Tutil.check_bool "a fresh client is served after the flood" true
+            (right_plan r (Client.plan c r));
+          match Client.stats c with
+          | Wire.Stats_reply { s_counters; _ } ->
+              let refused = List.assoc "serve.refused" s_counters in
+              if opened = 1100 then
+                Tutil.check_bool "sockets past FD_SETSIZE refused" true
+                  (refused > 0)
+          | r -> Alcotest.fail (Format.asprintf "%a" Wire.pp_response r)))
+
+let test_server_partial_frames () =
+  with_server ~cfg:{ small_cfg with workers = 1 } (fun _ addr ->
+      let a = Client.connect addr and b = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close a;
+          Client.close b)
+        (fun () ->
+          let ra = plan_req 11 and rb = plan_req 12 in
+          let bytes = Wire.frame (Wire.encode_request ~id:7 (Wire.Plan ra)) in
+          let written = Atomic.make false in
+          let writer =
+            Thread.create
+              (fun () ->
+                for i = 0 to Bytes.length bytes - 1 do
+                  if i > 0 then Thread.delay 0.001;
+                  Client.send_raw a (Bytes.sub bytes i 1)
+                done;
+                Atomic.set written true)
+              ()
+          in
+          (* Count only the answers B got before A's last byte went out. *)
+          let answered = ref 0 in
+          while not (Atomic.get written) do
+            if not (right_plan rb (Client.plan b rb)) then
+              Alcotest.fail "client B got a wrong answer";
+            if not (Atomic.get written) then incr answered
+          done;
+          Thread.join writer;
+          Tutil.check_bool "B answered while A's frame was partial" true
+            (!answered > 0);
+          match Client.receive a with
+          | `Response (7, resp) ->
+              Tutil.check_bool "A's answer, once whole, is right" true
+                (right_plan ra resp)
+          | _ -> Alcotest.fail "A got no answer to its byte-by-byte frame"))
+
+let test_server_stop_pipelined () =
+  with_temp_file (fun log_path ->
+      let path = temp_sock () in
+      let cfg = { small_cfg with log_path = Some log_path } in
+      let t = Server.start cfg (`Unix path) in
+      let fd = raw_connect path in
+      Fun.protect
+        ~finally:(fun () -> close_quietly fd)
+        (fun () ->
+          (* A hang becomes a failed read, not a stuck suite. *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let reqs = Array.init 64 plan_req in
+          Array.iteri
+            (fun i r ->
+              Wire.write_frame fd
+                (Wire.encode_request ~id:(i + 1) (Wire.Plan r)))
+            reqs;
+          let stopped = Atomic.make None in
+          let stopper =
+            Thread.create
+              (fun () ->
+                let t0 = Unix.gettimeofday () in
+                Server.stop t;
+                Atomic.set stopped (Some (Unix.gettimeofday () -. t0)))
+              ()
+          in
+          let rec answers acc =
+            match Wire.read_frame fd with
+            | `Eof -> List.rev acc
+            | `Error fe ->
+                Alcotest.fail (Format.asprintf "%a" Wire.pp_frame_error fe)
+            | `Frame payload -> (
+                match Wire.decode_response payload with
+                | Ok answer -> answers (answer :: acc)
+                | Error fe ->
+                    Alcotest.fail (Format.asprintf "%a" Wire.pp_frame_error fe))
+          in
+          let got = answers [] in
+          Thread.join stopper;
+          (match Atomic.get stopped with
+          | Some secs ->
+              Tutil.check_bool "stop returns within 2 s" true (secs < 2.)
+          | None -> Alcotest.fail "stop did not return");
+          Tutil.check_bool "no more answers than requests" true
+            (List.length got <= 64);
+          let plans = Store.Plan_store.create ~capacity:256 () in
+          let scheds = Store.Sched_store.create ~capacity:16 () in
+          ignore (Plan_log.replay log_path ~plans ~scheds : int);
+          List.iteri
+            (fun i (id, resp) ->
+              Tutil.check_int "answers in request order" (i + 1) id;
+              let r = reqs.(i) in
+              match resp with
+              | Wire.Overloaded -> ()
+              | Wire.Plan_digest d ->
+                  Tutil.check_bool "digest is right" true (right_plan r resp);
+                  if not d.plan_hit then begin
+                    let key, _, _ =
+                      Result.get_ok (Store.Plan_store.key_of_req r)
+                    in
+                    Tutil.check_bool "an answered miss is in the plan log" true
+                      (snd (Store.Plan_store.find_key plans key))
+                  end
+              | r -> Alcotest.fail (Format.asprintf "%a" Wire.pp_response r))
+            got))
+
 let suite =
   [
     prop_request_roundtrip;
@@ -732,4 +1035,8 @@ let suite =
     ("server protocol error", `Quick, test_server_protocol_error);
     ("server load shedding", `Quick, test_server_shedding);
     ("server warm restart", `Quick, test_server_warm_restart);
+    ("server bounded threads", `Quick, test_server_bounded_threads);
+    ("server descriptor cap", `Quick, test_server_descriptor_cap);
+    ("server partial frames", `Quick, test_server_partial_frames);
+    ("server stop with pipelined requests", `Quick, test_server_stop_pipelined);
   ]
