@@ -31,8 +31,9 @@ check:
 smoke:
 	dune build @smoke
 
-# Quick deterministic fuzz campaign (seed 42, 400 cases); the full
-# acceptance run is `dune exec -- lams fuzz --seed 42 --budget 5000`.
+# Quick deterministic fuzz campaign (seed 42, 400 cases). CI's
+# build-and-test job follows it with the acceptance campaign,
+# `dune exec -- lams fuzz --seed 42 --budget 1000`.
 fuzz-quick:
 	dune build @fuzz
 
@@ -53,8 +54,9 @@ bench-inspector-quick:
 # Quick chaos runs: a lossy fabric with planned crashes (fixed seed,
 # small budget) plus an all-rates-zero run that must stay bit-identical
 # to the plain executor; any scheduled/legacy divergence fails the
-# build. The heavier acceptance sweep is
-# `dune exec -- lams fuzz --seed 42 --budget 1000` (chaos rounds included).
+# build. The heavier acceptance sweep,
+# `dune exec -- lams fuzz --seed 42 --budget 1000` (chaos rounds
+# included), runs in CI's build-and-test job.
 chaos-quick:
 	dune build @chaos
 
@@ -108,7 +110,9 @@ bench-compare:
 # Base-vs-change pairs (tools/bench-pairs.sh): BASE exported with git
 # archive into _e2e/base-src, both trees built, N >= 5 seeds from SEED0
 # run alternately (odd seeds base first) into _e2e/pairs/{base,change}/,
-# then compared as bench-compare does:
+# then the pair wins per metric (tools/pair_wins.ml: wins out of N,
+# quartiles, whether the claim rule holds) and the comparison
+# bench-compare makes:
 #   make bench-pairs BASE=HEAD~1 N=10 SEED0=1
 N ?= 10
 SEED0 ?= 1

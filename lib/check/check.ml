@@ -658,11 +658,14 @@ let fault_round rng =
    transfers in the same order, same runs, same elements. Layouts and
    sections are derived deterministically from the case (so a repro line
    replays the round), folded down so the quadratic oracle stays cheap;
-   all four stride-sign combinations run, the machines differ
-   (p_src <> p_dst whenever p_src > 1), and short counts keep sections
-   below one joint cycle in play. Both sides of every transfer are then
-   lowered by Pack.build_side, whose buffer must walk the transfer's
-   positions in ascending order, each at its Layout.local_address. *)
+   all four stride-sign combinations run, and the machines differ
+   (p_src <> p_dst whenever p_src > 1). Half the cases draw a short
+   count (below 2*p_src*k_src, which keeps sections below one joint
+   cycle in play); the other half draw 2-8 joint cycles plus a partial
+   one, capped at 20 000 positions, so the lowering folds whole periods
+   into a repeat. Both sides of every transfer are then lowered by
+   Pack.build_side, whose buffer must walk the transfer's positions in
+   ascending order, each at its Layout.local_address. *)
 let comm_round case =
   Lams_obs.Obs.incr c_comm_rounds;
   let open Lams_sim in
@@ -697,9 +700,19 @@ let comm_round case =
     let k1 = 1 + ((case.k - 1) mod 24) in
     let p2 = if p1 = 1 then 1 + (case.k mod 8) else p1 - 1 + (2 * (case.l mod 2)) in
     let k2 = 1 + ((case.k + case.s) mod 24) in
-    let count = 1 + (abs (case.u - case.l) mod (2 * p1 * k1)) in
     let s1 = 1 + ((case.s - 1) mod (2 * k1)) in
     let s2 = 1 + ((case.s + case.l) mod 9) in
+    let cycle p k s = p * k / Lams_numeric.Euclid.gcd s (p * k) in
+    let joint = Lams_numeric.Euclid.lcm (cycle p1 k1 s1) (cycle p2 k2 s2) in
+    let spread = abs (case.u - case.l) in
+    let count =
+      if (case.p + case.k + case.l + case.s) mod 2 = 0 then
+        1 + (spread mod (2 * p1 * k1))
+      else
+        min 20_000
+          (((2 + (spread mod 7)) * joint) + 1
+          + (spread / 7 mod max 1 (joint - 1)))
+    in
     let l1 = case.l mod ((2 * p1 * k1) + 1) and l2 = case.l mod 10 in
     let sec lo s rev =
       if rev then Section.make ~lo:(lo + (s * (count - 1))) ~hi:lo ~stride:(-s)

@@ -31,9 +31,11 @@
     linear joint-cycle walk ({!Lams_sim.Comm_sets.build}) against the
     all-pairs CRT oracle it replaced
     ({!Lams_sim.Comm_sets.build_crt}), on case-derived layout pairs with
-    all four stride-sign combinations, [p_src <> p_dst], and sections
-    shorter than one joint cycle — the two must be structurally
-    identical. Both sides of every transfer are then lowered with
+    all four stride-sign combinations, [p_src <> p_dst], and either
+    short sections (often below one joint cycle) or, in half the cases,
+    2–8 joint cycles plus a partial one (capped at 20 000 positions) —
+    the two must be structurally identical. Both sides of every
+    transfer are then lowered with
     {!Lams_sched.Pack.build_side}; each side's buffer must walk the
     transfer's positions in ascending order, every one at its
     {!Lams_dist.Layout.local_address}.

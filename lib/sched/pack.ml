@@ -4,13 +4,21 @@ open Lams_dist
 type block = { buf_pos : int; start_local : int; length : int; step : int }
 type side = { runs : int array; elements : int }
 
-(* One run is [run_width] consecutive ints of [side.runs]:
+(* One record is [run_width] consecutive ints of [side.runs]. A run is
      buf_pos, start_local, length, step, count, local_stride
    i.e. [count] blocks of [length] elements laid back to back in the
    buffer from [buf_pos], block [j] starting at local address
-   [start_local + j * local_stride]. The C kernels behind
-   {!Fbuf.unsafe_gather_runs} read the same layout. *)
+   [start_local + j * local_stride]. A repeat record is
+     buf_pos, shift, span, 0, times, units
+   and closes a repeat: the [units] runs before it (copy 0, from buffer
+   cell [buf_pos]) stand for [times] copies, copy [t] moved by
+   [t * span] buffer cells and [t * shift] local addresses. Its [step]
+   field of 0 tells it from a run, and a side holds at most one. The C
+   kernels behind {!Fbuf.unsafe_gather_runs} read the same layout. *)
 let run_width = 6
+
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Streaming run builder.                                              *)
@@ -38,7 +46,7 @@ let builder () =
 let reserve a ~used ~extra =
   if used + extra <= Array.length a then a
   else begin
-    let b = Array.make (max (used + extra) (2 * Array.length a)) 0 in
+    let b = Array.make (imax (used + extra) (2 * Array.length a)) 0 in
     Array.blit a 0 b 0 used;
     b
   end
@@ -46,7 +54,8 @@ let reserve a ~used ~extra =
 (* Append [count] blocks at local [stride] as a run. It merges into the
    last run of [out] when its blocks continue that run's: same length
    and step, and one local stride before, across and after the junction
-   (a one-block run takes any stride). *)
+   (a one-block run takes any stride). A repeat record has step 0, so
+   nothing merges across one. *)
 let append b ~pos ~local ~len ~step ~count ~stride =
   let o = b.out and i = b.used - run_width in
   let gap =
@@ -70,6 +79,60 @@ let append b ~pos ~local ~len ~step ~count ~stride =
     o.(i + 4) <- count;
     o.(i + 5) <- (if count = 1 then 0 else stride);
     b.used <- i + run_width
+  end
+
+(* Write the run at record offset [i] of [a] as it is, moved by [dpos]
+   buffer cells and [dlocal] local addresses, merging with nothing. *)
+let push b a i ~dpos ~dlocal =
+  b.out <- reserve b.out ~used:b.used ~extra:run_width;
+  let o = b.out and j = b.used in
+  Array.blit a i o j run_width;
+  o.(j) <- o.(j) + dpos;
+  o.(j + 1) <- o.(j + 1) + dlocal;
+  b.used <- j + run_width
+
+(* Close a repeat: the last [units] runs of [out] become copy 0 of
+   [times] copies, [shift] local addresses and [span] cells apart. *)
+let push_repeat b ~shift ~span ~times ~units =
+  let pos = b.out.(b.used - (units * run_width)) in
+  b.out <- reserve b.out ~used:b.used ~extra:run_width;
+  let o = b.out and j = b.used in
+  o.(j) <- pos;
+  o.(j + 1) <- shift;
+  o.(j + 2) <- span;
+  o.(j + 3) <- 0;
+  o.(j + 4) <- times;
+  o.(j + 5) <- units;
+  b.used <- j + run_width
+
+(* Append the cells in buffer range [\[lo, hi)] of the run at record
+   offset [i] of [a], moved by [dpos] buffer cells and [dlocal] local
+   addresses. The run is cut without being expanded: whole blocks stay
+   one run, and a block the range cuts leaves one block of its cells
+   (start_local advancing [step] per cell). *)
+let slice_run b a i ~lo ~hi ~dpos ~dlocal =
+  let pos = a.(i) and len = a.(i + 2) and step = a.(i + 3)
+  and count = a.(i + 4) and stride = a.(i + 5) in
+  let from = imax lo pos and until = imin hi (pos + (count * len)) in
+  if from < until then begin
+    let block j = a.(i + 1) + dlocal + (j * stride) in
+    let ja = (from - pos) / len and ia = (from - pos) mod len in
+    let jb = (until - pos) / len and ib = (until - pos) mod len in
+    if ja = jb then
+      append b ~pos:(from + dpos) ~local:(block ja + (ia * step))
+        ~len:(until - from) ~step ~count:1 ~stride:0
+    else begin
+      if ia > 0 then
+        append b ~pos:(from + dpos) ~local:(block ja + (ia * step))
+          ~len:(len - ia) ~step ~count:1 ~stride:0;
+      let ja = if ia > 0 then ja + 1 else ja in
+      if jb > ja then
+        append b ~pos:(pos + (ja * len) + dpos) ~local:(block ja) ~len ~step
+          ~count:(jb - ja) ~stride;
+      if ib > 0 then
+        append b ~pos:(pos + (jb * len) + dpos) ~local:(block jb) ~len:ib
+          ~step ~count:1 ~stride:0
+    end
   end
 
 let runs b = Array.sub b.out 0 b.used
@@ -131,7 +194,7 @@ let lower_progression b ~layout ~section ~proc ~buf_pos ~first ~period ~count =
     let room =
       if sigma > 0 then ((k - 1 - o) / sigma) + 1 else (o / -sigma) + 1
     in
-    let n = min !left room in
+    let n = imin !left room in
     if sigma = step then add_block b ~pos:!pos ~local ~len:n ~step
     else begin
       add_block b ~pos:!pos ~local ~len:1 ~step;
@@ -157,112 +220,221 @@ let lower_progression b ~layout ~section ~proc ~buf_pos ~first ~period ~count =
    memory, so every block collapses to a single element. The buffer
    layout is private to the schedule (both sides are lowered from the
    same runs list), so the classes are packed in traversal order
-   instead, which is (period offset t, first) order and needs no sort:
-   classes with consecutive [first] fuse into intervals, and since
-   counts fall as [first] grows (count = 1 + (total-1-first)/P), the
-   classes alive at offset [t] are a prefix of each interval — one
-   contiguous segment of positions. [f ~first ~count] gets each segment
-   in traversal order; segments that turn out adjacent (an interval
-   ending at P-1, the next starting at 0 one offset later) fuse in the
-   builder. Intervals are cut wherever a count rises, which costs block
-   length, never order. *)
-let iter_segments ~period classes f =
-  let a = Array.of_list classes in
-  let n = Array.length a in
-  let first i = a.(i).Lams_sim.Comm_sets.first
-  and count i = a.(i).Lams_sim.Comm_sets.count in
-  (* The first [live] intervals are still alive, in ascending [first]:
-     interval [v] starts at class [heads.(v)], and [width.(v)] classes
-     of it were alive at the previous offset. *)
-  let heads = Array.make n 0 and width = Array.make n 0 in
-  let live = ref 0 in
-  for i = 0 to n - 1 do
-    if i > 0 && first i = first (i - 1) + 1 && count i <= count (i - 1) then
-      width.(!live - 1) <- width.(!live - 1) + 1
-    else begin
-      heads.(!live) <- i;
-      width.(!live) <- 1;
-      incr live
-    end
-  done;
-  let t = ref 0 in
-  while !live > 0 do
-    let kept = ref 0 in
-    for v = 0 to !live - 1 do
-      let h = heads.(v) and w = ref width.(v) in
-      while !w > 0 && count (h + !w - 1) <= !t do
-        decr w
-      done;
-      if !w > 0 then begin
-        f ~first:(first h + (!t * period)) ~count:!w;
-        heads.(!kept) <- h;
-        width.(!kept) <- !w;
-        incr kept
-      end
-    done;
-    live := !kept;
-    incr t
-  done
+   instead, which is (period offset t, first) order and needs no sort.
+   Counts fall by at most one as [first] grows (count = 1 +
+   (total-1-first)/P), so each whole period holds every class and the
+   last, partial one the first few: one period's segments are the runs
+   of consecutive [first] among its classes. [iter_period] gives them,
+   for the first [n] classes moved on by [offset] positions, to
+   [f ~first ~count] in traversal order; segments that turn out
+   adjacent (a run ending at P-1, the next period starting at 0) fuse
+   in the builder. *)
+let iter_period classes ~n ~offset f =
+  let rec go start len n = function
+    | { Lams_sim.Comm_sets.first; _ } :: rest when n > 0 && first = start + len
+      ->
+        go start (len + 1) (n - 1) rest
+    | rest -> (
+        f ~first:(start + offset) ~count:len;
+        match rest with
+        | { Lams_sim.Comm_sets.first; _ } :: rest when n > 0 ->
+            go first 1 (n - 1) rest
+        | _ -> ())
+  in
+  match classes with
+  | { Lams_sim.Comm_sets.first; _ } :: rest when n > 0 ->
+      go first 1 (n - 1) rest
+  | _ -> ()
 
-(* The shape {!iter_segments} needs: one period, [first] strictly
-   ascending and below it. *)
-let rec traversal_form ~period prev = function
-  | [] -> prev < period
-  | { Lams_sim.Comm_sets.first; period = q; _ } :: rest ->
-      q = period && first > prev && traversal_form ~period first rest
+(* What one pass over a side's classes shows, besides their range. *)
+type shape = {
+  regular : bool;
+      (* the shape Comm_sets builds: one period, [first] strictly
+         ascending and below it, and counts that never rise along the
+         list and differ by at most one — the first [whole] periods hold
+         every class, the tail past them the first [tail] classes *)
+  whole : int;
+  tail : int;
+  classes : int;
+  last : int;  (* the last [first] *)
+  far : int;  (* the highest position *)
+}
 
-(* Classes in any other shape (periods that differ — never produced by
-   Comm_sets) are packed one after another. *)
+let shape ~total ~period classes =
+  let rec go ~traversal ~fewest ~most ~falling ~last ~far ~n ~sum = function
+    | [] ->
+        { regular =
+            n > 0 && traversal && last < period && falling
+            && most <= fewest + 1;
+          whole = fewest; tail = sum - (fewest * n); classes = n; last; far }
+    | { Lams_sim.Comm_sets.first; period = q; count } :: rest ->
+        let reach = first + ((count - 1) * q) in
+        if first < 0 || q < 1 || count < 1 || reach >= total then
+          invalid_arg "Pack.build_side: progression outside the section";
+        go
+          ~traversal:(traversal && q = period && first > last)
+          ~fewest:(imin fewest count) ~most:(imax most count)
+          ~falling:(falling && count <= fewest) ~last:first
+          ~far:(imax far reach) ~n:(n + 1) ~sum:(sum + count) rest
+  in
+  go ~traversal:true ~fewest:max_int ~most:0 ~falling:true ~last:(-1) ~far:0
+    ~n:0 ~sum:0 classes
+
+(* Period folding (DESIGN.md §13). Position x + P of a traversal-form
+   side lies P*s global indices past x; when p*k divides P*s that is
+   the same owner and k-block offset, P*s/p local addresses further on.
+   So each whole period of regular classes holds period 0's blocks moved
+   by that shift, the tail holds period 0's first [tail] cells moved on,
+   and only period 0 needs lowering. [fold_shift] is the shift when the
+   side folds: regular classes, two or more whole periods, p*k | P*s
+   (which proves the copies' ownership, checked per k-block only in
+   period 0), and no block across a period junction — a period's last
+   cell contiguous with the next period's first would fuse two periods'
+   blocks, so such a side is lowered whole. The copies' globals are
+   covered by one check of the side's lowest. *)
+let fold_shift ~layout ~section ~period sh
+    (classes : Lams_sim.Comm_sets.progression list) =
+  let p = layout.Layout.p and k = layout.Layout.k in
+  let pk = p * k and s = section.Section.stride in
+  match classes with
+  | { Lams_sim.Comm_sets.first = head; _ } :: _
+    when sh.regular && sh.whole >= 2 && period * s mod pk = 0 ->
+      let global x = section.Section.lo + (x * s) in
+      if global (if s > 0 then head else sh.far) < 0 then
+        invalid_arg "Pack.build_side: position not owned by its processor";
+      let local x =
+        let g = global x in
+        (g / pk * k) + (g mod k)
+      in
+      let shift = period * s / p and step = if s < 0 then -1 else 1 in
+      if local head + shift = local sh.last + step then None else Some shift
+  | _ -> None
+
+(* Make the runs lowered so far, period 0, stand for [times] copies of
+   it [shift] local addresses and [span] cells apart. A one-run period
+   that continues at [shift] stays a plain run of [times] as many
+   blocks, so a side that is one strided run keeps that form; any other
+   period becomes the unit of a repeat. *)
+let fold b ~shift ~span ~times =
+  let o = b.out in
+  if b.used = run_width && (o.(4) = 1 || o.(4) * o.(5) = shift) then begin
+    if o.(4) = 1 then o.(5) <- shift;
+    o.(4) <- o.(4) * times
+  end
+  else push_repeat b ~shift ~span ~times ~units:(b.used / run_width)
+
+(* Regular classes are lowered period by period, folded when they can
+   be; classes in any other shape (never produced by Comm_sets) one
+   after another. *)
 let build_side ~layout ~section ~proc
     (classes : Lams_sim.Comm_sets.progression list) =
-  let total = Section.count section in
-  List.iter
-    (fun { Lams_sim.Comm_sets.first; period; count } ->
-      if
-        first < 0 || period < 1 || count < 1
-        || first + ((count - 1) * period) >= total
-      then invalid_arg "Pack.build_side: progression outside the section")
-    classes;
+  let period =
+    match classes with
+    | { Lams_sim.Comm_sets.period; _ } :: _ -> period
+    | [] -> 1
+  in
+  let sh = shape ~total:(Section.count section) ~period classes in
   let b = builder () and elements = ref 0 in
   let lower ~period ~first ~count =
     lower_progression b ~layout ~section ~proc ~buf_pos:!elements ~first
       ~period ~count;
     elements := !elements + count
   in
-  (match classes with
-  | { Lams_sim.Comm_sets.period; _ } :: _
-    when traversal_form ~period (-1) classes ->
-      iter_segments ~period classes (lower ~period:1)
-  | _ ->
-      List.iter
-        (fun { Lams_sim.Comm_sets.first; period; count } ->
-          lower ~period ~first ~count)
-        classes);
+  let one_period ~n ~offset =
+    iter_period classes ~n ~offset (lower ~period:1)
+  in
+  (if not sh.regular then
+     List.iter
+       (fun { Lams_sim.Comm_sets.first; period; count } ->
+         lower ~period ~first ~count)
+       classes
+   else
+     match fold_shift ~layout ~section ~period sh classes with
+     | None ->
+         for t = 0 to sh.whole - 1 do
+           one_period ~n:sh.classes ~offset:(t * period)
+         done;
+         one_period ~n:sh.tail ~offset:(sh.whole * period)
+     | Some shift ->
+         one_period ~n:sh.classes ~offset:0;
+         flush_block b;
+         let span = !elements and unit = runs b in
+         fold b ~shift ~span ~times:sh.whole;
+         (* the tail: period 0's first cells, moved on [whole] periods *)
+         for u = 0 to (Array.length unit / run_width) - 1 do
+           slice_run b unit (u * run_width) ~lo:0 ~hi:sh.tail
+             ~dpos:(sh.whole * span) ~dlocal:(sh.whole * shift)
+         done;
+         elements := (sh.whole * span) + sh.tail);
   { runs = finish b; elements = !elements }
 
 (* ------------------------------------------------------------------ *)
 (* Data movement.                                                      *)
 
-(* The C kernels trust every address, so each run is checked here, in
-   O(runs): its buffer span, and its lowest and highest local address.
-   Block j, element i sits at start_local + j*local_stride + i*step,
-   whose extremes separate into the two terms' own extremes. *)
-let check_runs name side ~data ~buf =
-  let data_len = Fbuf.length data and buf_len = Fbuf.length buf in
+(* [f i ~dpos ~dlocal] on every run the side expands to, in buffer
+   order: the run at record offset [i], moved by [dpos] buffer cells and
+   [dlocal] local addresses (copy [t] of a repeat's unit moves by [t]
+   spans and [t] shifts). *)
+let iter_runs side f =
   let r = side.runs in
-  let neg x = if x < 0 then x else 0 and pos x = if x > 0 then x else 0 in
   let o = ref 0 in
   while !o < Array.length r do
     let i = !o in
-    let buf_pos = r.(i) and start_local = r.(i + 1) and length = r.(i + 2)
-    and step = r.(i + 3) and count = r.(i + 4) and stride = r.(i + 5) in
-    let span = (count - 1) * stride and reach = (length - 1) * step in
-    if
-      buf_pos < 0
-      || buf_pos > buf_len - (count * length)
-      || start_local + neg span + neg reach < 0
-      || start_local + pos span + pos reach >= data_len
-    then invalid_arg name;
+    if r.(i + 3) = 0 then begin
+      let units = r.(i + 5) in
+      for t = 1 to r.(i + 4) - 1 do
+        for u = units downto 1 do
+          f (i - (u * run_width)) ~dpos:(t * r.(i + 2))
+            ~dlocal:(t * r.(i + 1))
+        done
+      done
+    end
+    else f i ~dpos:0 ~dlocal:0;
+    o := i + run_width
+  done
+
+(* Whether the run at record offset [i] of [r], moved by [dpos] buffer
+   cells and [dlocal] local addresses, lies inside a buffer of
+   [buf_len] cells and a store of [data_len]. Block j, element i sits at
+   start_local + dlocal + j*local_stride + i*step, whose extremes
+   separate into the two terms' own extremes. *)
+let run_fits r i ~dpos ~dlocal ~data_len ~buf_len =
+  let buf_pos = r.(i) + dpos and start_local = r.(i + 1) + dlocal
+  and length = r.(i + 2) and step = r.(i + 3) and count = r.(i + 4)
+  and stride = r.(i + 5) in
+  let span = (count - 1) * stride and reach = (length - 1) * step in
+  buf_pos >= 0
+  && buf_pos <= buf_len - (count * length)
+  && start_local + imin span 0 + imin reach 0 >= 0
+  && start_local + imax span 0 + imax reach 0 < data_len
+
+(* The C kernels trust every address, so each run is checked here, in
+   O(records) and without allocating: a repeat's unit runs as they come
+   (copy 0), and again at the repeat record for its last copy — the
+   addresses are linear in the copy, so the copies between are covered
+   too. *)
+let check_runs name side ~data ~buf =
+  let data_len = Fbuf.length data and buf_len = Fbuf.length buf in
+  let r = side.runs in
+  let o = ref 0 in
+  while !o < Array.length r do
+    let i = !o in
+    if r.(i + 3) <> 0 then begin
+      if not (run_fits r i ~dpos:0 ~dlocal:0 ~data_len ~buf_len) then
+        invalid_arg name
+    end
+    else begin
+      let last = r.(i + 4) - 1 in
+      for u = 1 to r.(i + 5) do
+        if
+          not
+            (run_fits r
+               (i - (u * run_width))
+               ~dpos:(last * r.(i + 2)) ~dlocal:(last * r.(i + 1)) ~data_len
+               ~buf_len)
+        then invalid_arg name
+      done
+    end;
     o := i + run_width
   done
 
@@ -278,16 +450,13 @@ let unpack side ~buf ~data =
    order. *)
 let iter_blocks side f =
   let r = side.runs in
-  let o = ref 0 in
-  while !o < Array.length r do
-    let i = !o in
-    let length = r.(i + 2) and step = r.(i + 3) and stride = r.(i + 5) in
-    for j = 0 to r.(i + 4) - 1 do
-      f ~buf_pos:(r.(i) + (j * length)) ~start_local:(r.(i + 1) + (j * stride))
-        ~length ~step
-    done;
-    o := i + run_width
-  done
+  iter_runs side (fun i ~dpos ~dlocal ->
+      let length = r.(i + 2) and step = r.(i + 3) and stride = r.(i + 5) in
+      for j = 0 to r.(i + 4) - 1 do
+        f ~buf_pos:(r.(i) + dpos + (j * length))
+          ~start_local:(r.(i + 1) + dlocal + (j * stride))
+          ~length ~step
+      done)
 
 (* Element-at-a-time variants on the same buffers: the adjacent
    before/after baseline for `bench/dataplane.ml` (what the data plane
@@ -311,72 +480,99 @@ let shift side delta =
   if delta = 0 then side
   else begin
     let runs = Array.copy side.runs in
-    let o = ref 1 in
+    let o = ref 0 in
     while !o < Array.length runs do
-      runs.(!o) <- runs.(!o) + delta;
+      if runs.(!o + 3) <> 0 then runs.(!o + 1) <- runs.(!o + 1) + delta;
       o := !o + run_width
     done;
     { side with runs }
   end
 
-(* Cut a side at a buffer position. The runs tile [0, elements) in
-   order, so exactly one run holds position [at]; it is cut without
-   expanding it: whole blocks on either side stay one run each, and a
-   block the cut falls inside leaves its head to the left and its tail
-   to the right (both still one block, start_local advancing [step] per
-   cell). Each half is re-appended run by run, so a piece that continues
-   its old neighbour run (a one-block remainder takes any stride) merges
-   back into it and both halves stay canonical. Right-side positions are
-   rebased to 0 so each half is a well-formed side over its own
-   (smaller) payload buffer. *)
+(* The repeat record of [runs] and the offset of its unit's first run
+   ([Array.length runs] twice without one). *)
+let find_repeat runs =
+  let n = Array.length runs in
+  let rec go i =
+    if i >= n then (n, n)
+    else if runs.(i + 3) = 0 then (i, i - (runs.(i + 5) * run_width))
+    else go (i + run_width)
+  in
+  go 0
+
+(* The side's cells [\[lo, hi)] as a side of their own, in O(records),
+   rebased to start at 0. Each piece is re-appended in order, so a piece
+   that continues its old neighbour run (a one-block remainder takes any
+   stride) merges back into it and the result stays canonical. Copies
+   of a repeat's unit that the range holds whole stay a repeat while
+   there are two or more of them; a copy the range cuts, or a single
+   whole one, is cut run by run. *)
+let slice side ~lo ~hi =
+  let a = side.runs and b = builder () in
+  let n = Array.length a in
+  let rep, unit = find_repeat a in
+  let o = ref 0 in
+  while !o < n do
+    let i = !o in
+    if i <> unit then begin
+      slice_run b a i ~lo ~hi ~dpos:(-lo) ~dlocal:0;
+      o := i + run_width
+    end
+    else begin
+      let pos = a.(rep) and shift = a.(rep + 1) and span = a.(rep + 2)
+      and times = a.(rep + 4) and units = a.(rep + 5) in
+      (* copies [first .. last] of the unit, each cut to the range *)
+      let cut ~first ~last =
+        for t = first to last do
+          for u = 0 to units - 1 do
+            slice_run b a (unit + (u * run_width)) ~lo:(lo - (t * span))
+              ~hi:(hi - (t * span)) ~dpos:((t * span) - lo)
+              ~dlocal:(t * shift)
+          done
+        done
+      in
+      let from = imax lo pos and until = imin hi (pos + (times * span)) in
+      if from < until then begin
+        let ta = (from - pos) / span and tb = (until - pos - 1) / span in
+        let whole_from = if (from - pos) mod span = 0 then ta else ta + 1
+        and whole_until = if (until - pos) mod span = 0 then tb + 1 else tb in
+        if whole_until - whole_from >= 2 then begin
+          cut ~first:ta ~last:(whole_from - 1);
+          for u = 0 to units - 1 do
+            push b a (unit + (u * run_width))
+              ~dpos:((whole_from * span) - lo)
+              ~dlocal:(whole_from * shift)
+          done;
+          push_repeat b ~shift ~span ~times:(whole_until - whole_from) ~units;
+          cut ~first:whole_until ~last:tb
+        end
+        else cut ~first:ta ~last:tb
+      end;
+      o := rep + run_width
+    end
+  done;
+  { runs = runs b; elements = hi - lo }
+
+(* Cut a side at a buffer position: the run (or repeat) holding it is
+   cut without being expanded, at most two runs per half out of a run,
+   and each half is a well-formed side over its own payload buffer. *)
 let split side ~at =
   if at <= 0 || at >= side.elements then invalid_arg "Pack.split";
-  let a = side.runs in
-  let copy b ~from ~until ~base =
-    for r = from to until - 1 do
-      let o = r * run_width in
-      append b ~pos:(a.(o) - base) ~local:a.(o + 1) ~len:a.(o + 2)
-        ~step:a.(o + 3) ~count:a.(o + 4) ~stride:a.(o + 5)
-    done
-  in
-  let k = ref 0 in
-  while
-    let o = !k * run_width in
-    a.(o) + (a.(o + 4) * a.(o + 2)) <= at
-  do
-    incr k
-  done;
-  let k = !k in
-  let o = k * run_width in
-  let pos = a.(o) and local = a.(o + 1) and len = a.(o + 2)
-  and step = a.(o + 3) and count = a.(o + 4) and stride = a.(o + 5) in
-  let j = (at - pos) / len and i = (at - pos) mod len in
-  let left = builder () and right = builder () in
-  copy left ~from:0 ~until:k ~base:0;
-  if j > 0 then append left ~pos ~local ~len ~step ~count:j ~stride;
-  if i > 0 then begin
-    let cut = local + (j * stride) in
-    append left ~pos:(at - i) ~local:cut ~len:i ~step ~count:1 ~stride:0;
-    append right ~pos:0 ~local:(cut + (i * step)) ~len:(len - i) ~step
-      ~count:1 ~stride:0
-  end;
-  let j = if i > 0 then j + 1 else j in
-  if j < count then
-    append right ~pos:(pos + (j * len) - at) ~local:(local + (j * stride))
-      ~len ~step ~count:(count - j) ~stride;
-  copy right ~from:(k + 1) ~until:(Array.length a / run_width) ~base:at;
-  ( { runs = runs left; elements = at },
-    { runs = runs right; elements = side.elements - at } )
+  (slice side ~lo:0 ~hi:at, slice side ~lo:at ~hi:side.elements)
 
 (* ------------------------------------------------------------------ *)
 (* Views.                                                              *)
 
 let block_count side =
-  let c = ref 0 in
-  let o = ref 4 in
-  while !o < Array.length side.runs do
-    c := !c + side.runs.(!o);
-    o := !o + run_width
+  let r = side.runs in
+  let c = ref 0 and o = ref 0 in
+  while !o < Array.length r do
+    let i = !o in
+    if r.(i + 3) <> 0 then c := !c + r.(i + 4)
+    else
+      for u = 1 to r.(i + 5) do
+        c := !c + ((r.(i + 4) - 1) * r.(i - (u * run_width) + 4))
+      done;
+    o := i + run_width
   done;
   !c
 

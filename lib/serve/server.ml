@@ -76,6 +76,9 @@ type t = {
   cfg : config;
   addr : address;
   listen_fd : Unix.file_descr;
+  mutable reserve : Unix.file_descr option;
+      (* held by the listener for refusing a connection when no
+         descriptor is left *)
   plans : Store.Plan_store.t;
   scheds : Store.Sched_store.t;
   log : Plan_log.t option;
@@ -541,6 +544,30 @@ let hand_off t fd =
     close_fd fd
   end
 
+let take_reserve t =
+  t.reserve <-
+    (try Some (Unix.dup ~cloexec:true t.listen_fd)
+     with Unix.Unix_error _ -> None)
+
+(* [accept] found no descriptor free, so the pending connection stays
+   pending and [select] would report it again at once. Spend the
+   reserve on accepting it, close it at once (its client sees EOF) and
+   take the reserve back; without a reserve, wait one poll instead of
+   spinning. *)
+let refuse_pending t =
+  match t.reserve with
+  | None ->
+      Thread.delay 0.25;
+      take_reserve t
+  | Some fd ->
+      close_fd fd;
+      (match Unix.accept t.listen_fd with
+      | exception Unix.Unix_error _ -> ()
+      | fd, _ ->
+          Atomic.incr t.c_refused;
+          close_fd fd);
+      take_reserve t
+
 let rec listener_loop t =
   if not (Atomic.get t.stopping) then begin
     (match Unix.select [ t.listen_fd ] [] [] 0.25 with
@@ -548,6 +575,8 @@ let rec listener_loop t =
     | [], _, _ -> ()
     | _ -> (
         match Unix.accept t.listen_fd with
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+            refuse_pending t
         | exception Unix.Unix_error _ -> ()
         | fd, _ -> hand_off t fd));
     listener_loop t
@@ -618,6 +647,7 @@ let start cfg addr =
       cfg;
       addr;
       listen_fd;
+      reserve = None;
       plans;
       scheds;
       log;
@@ -642,6 +672,7 @@ let start cfg addr =
   t.worker_domains <-
     Array.to_list
       (Array.map (fun w -> Domain.spawn (fun () -> worker_loop t w)) t.workers);
+  take_reserve t;
   t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
   t
 
@@ -660,6 +691,7 @@ let stop t =
         wake w)
       t.workers;
     List.iter Domain.join t.worker_domains;
+    Option.iter close_fd t.reserve;
     close_fd t.listen_fd;
     Array.iter
       (fun w ->

@@ -24,7 +24,12 @@
     cannot watch a descriptor at or past FD_SETSIZE (1024 on Linux), so
     a socket accepted on such a descriptor is closed at once and counted
     in [refused]; in a process of its own that caps the daemon near a
-    thousand live connections.
+    thousand live connections. When the process has no descriptor left
+    ([EMFILE]/[ENFILE]), the listener closes a descriptor it holds in
+    reserve, accepts the pending connection on it, closes that at once
+    (the client sees EOF), counts it in [refused] and takes the reserve
+    back, so a full descriptor table refuses clients instead of leaving
+    them pending while the listener retries in a loop.
 
     {b Stop.} [stop] stops the listener, then has each worker answer
     what it has read, read every connection once more and answer each
@@ -60,7 +65,9 @@ type counters = {
   shed : int;  (** [Overloaded] answers *)
   protocol_errors : int;  (** framing/decode failures answered [Error] *)
   connections : int;  (** connections served over the lifetime *)
-  refused : int;  (** sockets closed on accept: descriptor past FD_SETSIZE *)
+  refused : int;
+      (** sockets closed on accept: descriptor past FD_SETSIZE, or none
+          free but the listener's reserve *)
   replayed : int;  (** entries warmed from the plan log at startup *)
 }
 

@@ -42,10 +42,12 @@ external unsafe_gather_runs : int array -> t -> t -> unit
   = "lams_fbuf_gather_runs" [@@noalloc]
 (** [unsafe_gather_runs runs data buf] copies every strided pack run in
     [runs] from [data] into [buf] in one C call. [runs] holds six ints
-    per run — [buf_pos; start_local; length; step; count; local_stride]
+    per record — a run [buf_pos; start_local; length; step; count;
+    local_stride], or a repeat [buf_pos; shift; span; 0; times; units]
+    that replays the [units] runs before it for copies [1 .. times-1]
     — with the meaning [Lams_sched.Pack.side] documents. {b Unchecked}:
-    the caller must have validated every run against both buffers, and
-    the buffers must not overlap. *)
+    the caller must have validated every run (each copy) against both
+    buffers, and the buffers must not overlap. *)
 
 external unsafe_scatter_runs : int array -> t -> t -> unit
   = "lams_fbuf_scatter_runs" [@@noalloc]

@@ -20,15 +20,21 @@ value lams_fbuf_blit(value vsrc, value vsrc_pos, value vdst, value vdst_pos,
   return Val_unit;
 }
 
-/* Strided pack runs (Lams_sched.Pack): an OCaml int array holding
- * RUN_WIDTH ints per run, in the order
+/* Strided pack runs (Lams_sched.Pack): an OCaml int array of records of
+ * RUN_WIDTH ints. A run is
  *
  *   buf_pos, start_local, length, step, count, local_stride
  *
- * A run is [count] blocks of [length] elements. Block j fills buffer
- * cells [buf_pos + j*length, buf_pos + (j+1)*length) from local
- * addresses start_local + j*local_stride + i*step, i = 0 .. length-1
- * (step is +1 or -1). The local store and the buffer must not overlap. */
+ * [count] blocks of [length] elements. Block j fills buffer cells
+ * [buf_pos + j*length, buf_pos + (j+1)*length) from local addresses
+ * start_local + j*local_stride + i*step, i = 0 .. length-1 (step is +1
+ * or -1). A repeat record is
+ *
+ *   buf_pos, shift, span, 0, times, units
+ *
+ * and closes a repeat: the [units] runs before it are copy 0 of [times]
+ * copies, copy t moved by t*span buffer cells and t*shift local
+ * addresses. The local store and the buffer must not overlap. */
 #define RUN_WIDTH 6
 
 #define RUN_FIELDS(vruns, r)                                   \
@@ -43,32 +49,83 @@ value lams_fbuf_blit(value vsrc, value vsrc_pos, value vdst, value vdst_pos,
  * below that, the memcpy call costs more than the copy (DESIGN.md §13). */
 #define SHORT_RUN 4
 
+/* Local store -> packed buffer for the run at [r], moved by [dpos]
+ * buffer cells and [dlocal] local addresses. */
+static inline void gather_run(const double *data, double *buf, value vruns,
+                              mlsize_t r, long dpos, long dlocal)
+{
+  RUN_FIELDS(vruns, r);
+  double *dst = buf + pos + dpos;
+  const double *src = data + local + dlocal;
+  if (len == 1) {
+    for (long j = 0; j < count; j++, src += stride)
+      dst[j] = *src;
+  } else if (step == 1 && len <= SHORT_RUN) {
+    for (long j = 0; j < count; j++, src += stride, dst += len)
+      for (long i = 0; i < len; i++)
+        dst[i] = src[i];
+  } else if (step == 1) {
+    for (long j = 0; j < count; j++, src += stride, dst += len)
+      memcpy(dst, src, (size_t)len * sizeof(double));
+  } else {
+    for (long j = 0; j < count; j++, src += stride, dst += len)
+      for (long i = 0; i < len; i++)
+        dst[i] = src[-i];
+  }
+}
+
+/* Packed buffer -> local store: the inverse walk of [gather_run]. */
+static inline void scatter_run(const double *buf, double *data, value vruns,
+                               mlsize_t r, long dpos, long dlocal)
+{
+  RUN_FIELDS(vruns, r);
+  const double *src = buf + pos + dpos;
+  double *dst = data + local + dlocal;
+  if (len == 1) {
+    for (long j = 0; j < count; j++, dst += stride)
+      *dst = src[j];
+  } else if (step == 1 && len <= SHORT_RUN) {
+    for (long j = 0; j < count; j++, dst += stride, src += len)
+      for (long i = 0; i < len; i++)
+        dst[i] = src[i];
+  } else if (step == 1) {
+    for (long j = 0; j < count; j++, dst += stride, src += len)
+      memcpy(dst, src, (size_t)len * sizeof(double));
+  } else {
+    for (long j = 0; j < count; j++, dst += stride, src += len)
+      for (long i = 0; i < len; i++)
+        dst[-i] = src[i];
+  }
+}
+
+/* Every run of [vruns] in buffer order, [RUN(r, dpos, dlocal)] per run:
+ * a repeat's unit runs as they come (copy 0), then again for copies 1
+ * .. times-1 at its repeat record. */
+#define FOR_EACH_RUN(vruns, RUN)                                        \
+  do {                                                                  \
+    mlsize_t n_ = Wosize_val(vruns);                                    \
+    for (mlsize_t r_ = 0; r_ + RUN_WIDTH <= n_; r_ += RUN_WIDTH) {      \
+      if (Long_val(Field(vruns, r_ + 3)) == 0) {                        \
+        long shift_ = Long_val(Field(vruns, r_ + 1));                   \
+        long span_ = Long_val(Field(vruns, r_ + 2));                    \
+        long times_ = Long_val(Field(vruns, r_ + 4));                   \
+        mlsize_t unit_ = r_ - Long_val(Field(vruns, r_ + 5)) * RUN_WIDTH; \
+        for (long t_ = 1; t_ < times_; t_++)                            \
+          for (mlsize_t u_ = unit_; u_ < r_; u_ += RUN_WIDTH)           \
+            RUN(u_, t_ * span_, t_ * shift_);                           \
+      } else                                                            \
+        RUN(r_, 0, 0);                                                  \
+    }                                                                   \
+  } while (0)
+
 /* Local store -> packed buffer, every run of a side in one call. */
 value lams_fbuf_gather_runs(value vruns, value vdata, value vbuf)
 {
   const double *data = (const double *)Caml_ba_data_val(vdata);
   double *buf = (double *)Caml_ba_data_val(vbuf);
-  mlsize_t n = Wosize_val(vruns);
-  for (mlsize_t r = 0; r + RUN_WIDTH <= n; r += RUN_WIDTH) {
-    RUN_FIELDS(vruns, r);
-    double *dst = buf + pos;
-    const double *src = data + local;
-    if (len == 1) {
-      for (long j = 0; j < count; j++, src += stride)
-        dst[j] = *src;
-    } else if (step == 1 && len <= SHORT_RUN) {
-      for (long j = 0; j < count; j++, src += stride, dst += len)
-        for (long i = 0; i < len; i++)
-          dst[i] = src[i];
-    } else if (step == 1) {
-      for (long j = 0; j < count; j++, src += stride, dst += len)
-        memcpy(dst, src, (size_t)len * sizeof(double));
-    } else {
-      for (long j = 0; j < count; j++, src += stride, dst += len)
-        for (long i = 0; i < len; i++)
-          dst[i] = src[-i];
-    }
-  }
+#define GATHER(r, dpos, dlocal) gather_run(data, buf, vruns, r, dpos, dlocal)
+  FOR_EACH_RUN(vruns, GATHER);
+#undef GATHER
   return Val_unit;
 }
 
@@ -77,26 +134,8 @@ value lams_fbuf_scatter_runs(value vruns, value vbuf, value vdata)
 {
   const double *buf = (const double *)Caml_ba_data_val(vbuf);
   double *data = (double *)Caml_ba_data_val(vdata);
-  mlsize_t n = Wosize_val(vruns);
-  for (mlsize_t r = 0; r + RUN_WIDTH <= n; r += RUN_WIDTH) {
-    RUN_FIELDS(vruns, r);
-    const double *src = buf + pos;
-    double *dst = data + local;
-    if (len == 1) {
-      for (long j = 0; j < count; j++, dst += stride)
-        *dst = src[j];
-    } else if (step == 1 && len <= SHORT_RUN) {
-      for (long j = 0; j < count; j++, dst += stride, src += len)
-        for (long i = 0; i < len; i++)
-          dst[i] = src[i];
-    } else if (step == 1) {
-      for (long j = 0; j < count; j++, dst += stride, src += len)
-        memcpy(dst, src, (size_t)len * sizeof(double));
-    } else {
-      for (long j = 0; j < count; j++, dst += stride, src += len)
-        for (long i = 0; i < len; i++)
-          dst[-i] = src[i];
-    }
-  }
+#define SCATTER(r, dpos, dlocal) scatter_run(buf, data, vruns, r, dpos, dlocal)
+  FOR_EACH_RUN(vruns, SCATTER);
+#undef SCATTER
   return Val_unit;
 }

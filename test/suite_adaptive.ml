@@ -101,7 +101,7 @@ let check_every_cut side =
     Tutil.check_pack_canonical (Printf.sprintf "right of %d" at) right;
     Tutil.check_bool "the cut run yields at most two runs per half" true
       (Tutil.pack_run_count left + Tutil.pack_run_count right
-      <= Tutil.pack_run_count side + 3)
+      <= Tutil.pack_run_count side + (2 * Tutil.pack_unit_run_count side) + 3)
   done;
   seen
 
@@ -114,6 +114,82 @@ let test_pack_split_partitions () =
       Tutil.check_bool ("cuts include " ^ what) true (Hashtbl.mem seen k))
     [ (`Run_boundary, "run boundaries"); (`Block_boundary, "block boundaries");
       (`Mid_block, "mid-block positions") ]
+
+(* A folded side: a repeat of three whole periods with a unit of two or
+   more runs and a tail after it, from a p=4 k=3 -> p=3 k=5 remap of
+   three joint periods (60 positions each) plus 25 positions. *)
+let folded_side () =
+  let sides =
+    List.concat_map
+      (fun (tr : Schedule.transfer) ->
+        [ tr.Schedule.src_side; tr.Schedule.dst_side ])
+      (cross_transfers
+         (Schedule.build
+            ~src_layout:(Layout.create ~p:4 ~k:3)
+            ~src_section:(Section.make ~lo:0 ~hi:204 ~stride:1)
+            ~dst_layout:(Layout.create ~p:3 ~k:5)
+            ~dst_section:(Section.make ~lo:0 ~hi:204 ~stride:1)))
+  in
+  match
+    List.find_map
+      (fun side ->
+        match Tutil.pack_parts side with
+        | _, Some rep, _ :: _
+          when rep.Tutil.times = 3 && List.length rep.Tutil.unit >= 2 ->
+            Some (side, rep)
+        | _ -> None)
+      sides
+  with
+  | Some found -> found
+  | None -> Alcotest.fail "no folded side with a tail"
+
+(* Where buffer position [at] falls relative to a side's repeat. *)
+let cut_period (rep : Tutil.pack_repeat) at =
+  let t = (at - rep.Tutil.pos) / rep.Tutil.span in
+  if at < rep.Tutil.pos then `Before
+  else if t = 0 then `Period_0
+  else if t < rep.Tutil.times - 1 then `Middle
+  else if t = rep.Tutil.times - 1 then `Last_whole
+  else `Tail
+
+(* Cutting a folded side anywhere keeps the walk; cut in period 0, in a
+   middle period, in the last whole period and in the tail, both halves
+   pack and unpack exactly what the whole side does. *)
+let test_pack_split_folded () =
+  let side, rep = folded_side () in
+  let seen = check_every_cut side in
+  Tutil.check_bool "cuts inside blocks" true (Hashtbl.mem seen `Mid_block);
+  let all = Pack.local_addresses side in
+  let extent = 1 + Array.fold_left max 0 all in
+  let data = Lams_util.Fbuf.init extent (fun a -> float_of_int (3 * a)) in
+  let whole = Lams_util.Fbuf.create side.Pack.elements in
+  Pack.pack side ~data ~buf:whole;
+  let tail_from = rep.Tutil.pos + (rep.Tutil.times * rep.Tutil.span) in
+  List.iter
+    (fun (kind, at) ->
+      Tutil.check_bool "cut lands where meant" true (cut_period rep at = kind);
+      let left, right = Pack.split side ~at in
+      let lbuf = Lams_util.Fbuf.create at
+      and rbuf = Lams_util.Fbuf.create (side.Pack.elements - at) in
+      Pack.pack left ~data ~buf:lbuf;
+      Pack.pack right ~data ~buf:rbuf;
+      Tutil.check_bool "halves pack the whole side's buffer" true
+        (Lams_util.Fbuf.equal whole
+           (Lams_util.Fbuf.of_array
+              (Array.append (Lams_util.Fbuf.to_array lbuf)
+                 (Lams_util.Fbuf.to_array rbuf))));
+      let back = Lams_util.Fbuf.init extent (fun _ -> -1.)
+      and back_whole = Lams_util.Fbuf.init extent (fun _ -> -1.) in
+      Pack.unpack left ~buf:lbuf ~data:back;
+      Pack.unpack right ~buf:rbuf ~data:back;
+      Pack.unpack side ~buf:whole ~data:back_whole;
+      Tutil.check_bool "halves unpack what the whole side does" true
+        (Lams_util.Fbuf.equal back back_whole))
+    [ (`Period_0, rep.Tutil.pos + (rep.Tutil.span / 2));
+      (`Middle, rep.Tutil.pos + rep.Tutil.span + (rep.Tutil.span / 2));
+      ( `Last_whole,
+        rep.Tutil.pos + (2 * rep.Tutil.span) + (rep.Tutil.span / 2) );
+      (`Tail, tail_from + ((side.Pack.elements - tail_from) / 2)) ]
 
 let test_pack_shift_roundtrip () =
   let side = multi_block_side () in
@@ -611,6 +687,8 @@ let test_split_crosses_rebase_pinned () =
 let suite =
   [ Alcotest.test_case "Pack.split partitions the walk at every cut" `Quick
       test_pack_split_partitions;
+    Alcotest.test_case "Pack.split inside and around a repeat" `Quick
+      test_pack_split_folded;
     Alcotest.test_case "Pack.split rejects cuts outside (0, n)" `Quick
       test_pack_split_bounds;
     Alcotest.test_case "Pack.shift +d then -d is the identity" `Quick

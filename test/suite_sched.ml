@@ -15,6 +15,63 @@ let oracle_addresses ~layout ~section runs =
        (fun j -> Layout.local_address layout (Section.nth section j))
        positions)
 
+(* The canonical blocks of one side, from positions alone: the oracle
+   walk cut wherever the next cell is not the local address one [step]
+   (the sign of the section stride) past the last. *)
+let oracle_blocks ~layout ~section runs =
+  let addrs = oracle_addresses ~layout ~section runs in
+  let step = if section.Section.stride < 0 then -1 else 1 in
+  let blocks = ref [] and start = ref 0 in
+  Array.iteri
+    (fun i a ->
+      if i + 1 = Array.length addrs || addrs.(i + 1) <> a + step then begin
+        blocks :=
+          { Pack.buf_pos = !start; start_local = addrs.(!start);
+            length = i + 1 - !start; step }
+          :: !blocks;
+        start := i + 1
+      end)
+    addrs;
+  List.rev !blocks
+
+(* The number of traversal positions [periods] joint periods of a
+   redistribution plus a partial one hold: the joint period is the lcm
+   of each side's cycle p*k / gcd(|s|, p*k). *)
+let joint_period sides =
+  List.fold_left
+    (fun acc (p, k, s) ->
+      Lams_numeric.Euclid.lcm acc
+        (p * k / Lams_numeric.Euclid.gcd (abs s) (p * k)))
+    1 sides
+
+let gen_periods ~joint ~cap =
+  QCheck2.Gen.(
+    let* periods = int_range 2 8 in
+    let* partial = int_range 1 (max 1 (joint - 1)) in
+    return (min cap ((periods * joint) + partial)))
+
+(* [side] moves exactly what the element loops move, both ways, on a
+   local store that holds the whole section. *)
+let kernels_agree ~layout ~section ~proc side =
+  let extent =
+    Layout.local_extent layout
+      ~n:(max section.Section.lo section.Section.hi + 1)
+      ~proc
+  in
+  let data = Lams_util.Fbuf.init extent (fun a -> float_of_int (7 * a)) in
+  let buf = Lams_util.Fbuf.create side.Pack.elements
+  and buf_el = Lams_util.Fbuf.create side.Pack.elements in
+  Pack.pack side ~data ~buf;
+  Pack.pack_elementwise side ~data ~buf:buf_el;
+  if not (Lams_util.Fbuf.equal buf buf_el) then
+    QCheck2.Test.fail_report "pack <> pack_elementwise";
+  let back = Lams_util.Fbuf.init extent (fun _ -> -1.)
+  and back_el = Lams_util.Fbuf.init extent (fun _ -> -1.) in
+  Pack.unpack side ~buf ~data:back;
+  Pack.unpack_elementwise side ~buf ~data:back_el;
+  if not (Lams_util.Fbuf.equal back back_el) then
+    QCheck2.Test.fail_report "unpack <> unpack_elementwise"
+
 let init_src ~n ~p ~k =
   Darray.of_array ~name:"ss" ~p ~dist:(Distribution.Block_cyclic k)
     (Array.init n (fun g -> float_of_int ((2 * g) + 1)))
@@ -163,9 +220,10 @@ let test_pack_roundtrip_positive_stride () =
 
 (* The run encoding on both sides of random transfers: independent
    (p, k) per side, either stride sign per side, and sections often
-   shorter than one cycle. Each side must walk the positional oracle,
-   tile its buffer, be canonical, and move exactly what the element
-   loops move. *)
+   shorter than one cycle, or 2-8 joint periods plus a partial one (the
+   folded sides). Each side must walk the positional oracle, expand to
+   its canonical blocks, tile its buffer, be canonical, and move exactly
+   what the element loops move. *)
 let prop_pack_runs =
   Tutil.qtest "pack runs: oracle walk, partition, canonical, kernels"
     QCheck2.Gen.(
@@ -173,9 +231,14 @@ let prop_pack_runs =
       let* sk = int_range 1 16 in
       let* dp = int_range 1 9 in
       let* dk = int_range 1 16 in
-      let* count = oneof [ int_range 1 (sp * sk); int_range 1 200 ] in
       let* ss = int_range 1 6 in
       let* ds = int_range 1 6 in
+      let joint = joint_period [ (sp, sk, ss); (dp, dk, ds) ] in
+      let* count =
+        oneof
+          [ int_range 1 (sp * sk); int_range 1 200;
+            gen_periods ~joint ~cap:20_000 ]
+      in
       let* src_desc = bool in
       let* dst_desc = bool in
       let* slo = int_range 0 30 in
@@ -207,29 +270,15 @@ let prop_pack_runs =
           Pack.local_addresses side
           <> oracle_addresses ~layout ~section tr.Comm_sets.runs
         then QCheck2.Test.fail_report "walk differs from the positional oracle";
+        if Pack.blocks side <> oracle_blocks ~layout ~section tr.Comm_sets.runs
+        then
+          QCheck2.Test.fail_report "blocks differ from the positional oracle";
         (match Tutil.pack_canonical_error side with
         | Some msg -> QCheck2.Test.fail_report msg
         | None -> ());
         if Pack.block_count side <> List.length (Pack.blocks side) then
           QCheck2.Test.fail_report "block_count <> expanded blocks";
-        let extent =
-          Layout.local_extent layout
-            ~n:(max section.Section.lo section.Section.hi + 1)
-            ~proc
-        in
-        let data = Lams_util.Fbuf.init extent (fun a -> float_of_int (7 * a)) in
-        let buf = Lams_util.Fbuf.create side.Pack.elements
-        and buf_el = Lams_util.Fbuf.create side.Pack.elements in
-        Pack.pack side ~data ~buf;
-        Pack.pack_elementwise side ~data ~buf:buf_el;
-        if not (Lams_util.Fbuf.equal buf buf_el) then
-          QCheck2.Test.fail_report "pack <> pack_elementwise";
-        let back = Lams_util.Fbuf.init extent (fun _ -> -1.)
-        and back_el = Lams_util.Fbuf.init extent (fun _ -> -1.) in
-        Pack.unpack side ~buf ~data:back;
-        Pack.unpack_elementwise side ~buf ~data:back_el;
-        if not (Lams_util.Fbuf.equal back back_el) then
-          QCheck2.Test.fail_report "unpack <> unpack_elementwise"
+        kernels_agree ~layout ~section ~proc side
       in
       List.iter
         (fun (tr : Comm_sets.transfer) ->
@@ -260,6 +309,129 @@ let test_cyclic_remap_one_run_per_side () =
   Tutil.check_int "runs: one per side" 2048 (sum Tutil.pack_run_count);
   Tutil.check_int "blocks" 1_572_864 (sum Pack.block_count)
 
+(* Every side of a p=4 k=3 -> p=3 k=5 redistribution of [n] elements
+   from index 0 at [stride] (the joint period is 60 positions for the
+   strides used here, and no side has a block across a period
+   junction), with the layout, section and classes it was lowered
+   from. *)
+let remap_sides ?(stride = 1) n =
+  let src_layout = Layout.create ~p:4 ~k:3
+  and dst_layout = Layout.create ~p:3 ~k:5 in
+  let far = (n - 1) * abs stride in
+  let section =
+    if stride > 0 then Section.make ~lo:0 ~hi:far ~stride
+    else Section.make ~lo:far ~hi:0 ~stride
+  in
+  let cs =
+    Comm_sets.build ~src_layout ~src_section:section ~dst_layout
+      ~dst_section:section
+  in
+  List.concat_map
+    (fun (tr : Comm_sets.transfer) ->
+      [ ( src_layout,
+          section,
+          tr.Comm_sets.runs,
+          Pack.build_side ~layout:src_layout ~section
+            ~proc:tr.Comm_sets.src_proc tr.Comm_sets.runs );
+        ( dst_layout,
+          section,
+          tr.Comm_sets.runs,
+          Pack.build_side ~layout:dst_layout ~section
+            ~proc:tr.Comm_sets.dst_proc tr.Comm_sets.runs ) ])
+    cs.Comm_sets.transfers
+
+(* Folding makes a side's encoding independent of the extent: 4 and 8
+   joint periods give the same number of encoded runs. *)
+let test_pack_fold_extent_independent () =
+  List.iter
+    (fun stride ->
+      let short = remap_sides ~stride 240 and long = remap_sides ~stride 480 in
+      Tutil.check_int "same transfers" (List.length short) (List.length long);
+      Tutil.check_bool "some side is a repeat" true
+        (List.exists (fun (_, _, _, side) -> Tutil.pack_unit_run_count side > 0)
+           short);
+      List.iter2
+        (fun (_, _, _, a) (_, _, _, b) ->
+          Tutil.check_int "encoded runs" (Tutil.pack_run_count a)
+            (Tutil.pack_run_count b))
+        short long;
+      List.iter
+        (fun (layout, section, runs, side) ->
+          Tutil.check_pack_canonical "folded side" side;
+          Tutil.check_bool "folded side expands to its blocks" true
+            (Pack.blocks side = oracle_blocks ~layout ~section runs))
+        long)
+    [ 1; -1; 7 ]
+
+(* p=1 k=4 -> p=2 k=2 with the destination one index on: the transfer
+   0 -> 0 takes positions 0 and 3 of every period of 4, so on the
+   source the last cell of a period (local 4t+3) and the first of the
+   next (4t+4) are contiguous. Such a side is lowered whole, into its
+   canonical blocks. *)
+let test_pack_fold_contiguous_junction () =
+  let layout = Layout.create ~p:1 ~k:4 in
+  let section = Section.make ~lo:0 ~hi:39 ~stride:1 in
+  let cs =
+    Comm_sets.build ~src_layout:layout ~src_section:section
+      ~dst_layout:(Layout.create ~p:2 ~k:2)
+      ~dst_section:(Section.make ~lo:1 ~hi:40 ~stride:1)
+  in
+  let tr = Option.get (Comm_sets.find cs ~src_proc:0 ~dst_proc:0) in
+  Tutil.check_int_list "residues 0 and 3 of period 4" [ 0; 3 ]
+    (List.map (fun (r : Comm_sets.progression) -> r.Comm_sets.first)
+       tr.Comm_sets.runs);
+  let side = Pack.build_side ~layout ~section ~proc:0 tr.Comm_sets.runs in
+  let _, rep, _ = Tutil.pack_parts side in
+  Tutil.check_bool "not folded" true (rep = None);
+  Tutil.check_pack_canonical "junction side" side;
+  Tutil.check_bool "blocks = the canonical blocks" true
+    (Pack.blocks side = oracle_blocks ~layout ~section tr.Comm_sets.runs);
+  Tutil.check_bool "blocks span the junctions" true
+    (List.exists
+       (fun (b : Pack.block) -> b.Pack.start_local = 3 && b.Pack.length = 2)
+       (Pack.blocks side))
+
+(* A repeat whose top local address lies in its last copy only: a store
+   one element short of it is refused before anything moves. *)
+let test_pack_repeat_bounds () =
+  let side =
+    List.find_map
+      (fun (_, _, _, side) ->
+        match Tutil.pack_parts side with
+        | _, Some rep, [] when rep.Tutil.shift > 0 -> Some (side, rep)
+        | _ -> None)
+      (remap_sides 240)
+  in
+  let side, rep = Option.get side in
+  let high (r : Tutil.pack_run) =
+    r.Tutil.start_local
+    + max 0 ((r.Tutil.count - 1) * r.Tutil.local_stride)
+    + max 0 ((r.Tutil.length - 1) * r.Tutil.step)
+  in
+  let top = Array.fold_left max 0 (Pack.local_addresses side) in
+  Tutil.check_int "the top address is in the last copy" top
+    (List.fold_left max 0 (List.map high rep.Tutil.unit)
+    + ((rep.Tutil.times - 1) * rep.Tutil.shift));
+  Tutil.check_bool "every earlier copy fits a store one short" true
+    (List.fold_left max 0 (List.map high rep.Tutil.unit)
+     + ((rep.Tutil.times - 2) * rep.Tutil.shift)
+    < top);
+  let n = side.Pack.elements in
+  let buf = Lams_util.Fbuf.init n (fun _ -> -7.) in
+  Pack.pack side ~data:(Lams_util.Fbuf.init (top + 1) float_of_int) ~buf;
+  let short = Lams_util.Fbuf.init top float_of_int in
+  let untouched = Lams_util.Fbuf.init n (fun _ -> -7.) in
+  let buf' = Lams_util.Fbuf.copy untouched in
+  Alcotest.check_raises "pack: store one short" (Invalid_argument "Pack.pack")
+    (fun () -> Pack.pack side ~data:short ~buf:buf');
+  Tutil.check_bool "a refused pack writes nothing" true
+    (Lams_util.Fbuf.equal buf' untouched);
+  Alcotest.check_raises "unpack: store one short"
+    (Invalid_argument "Pack.unpack") (fun () ->
+      Pack.unpack side ~buf ~data:short);
+  Tutil.check_bool "a refused unpack writes nothing" true
+    (Lams_util.Fbuf.equal short (Lams_util.Fbuf.init top float_of_int))
+
 (* One side of a remap-cold-shaped redistribution: that workload's
    block sizes, any p up to 32, |s| <= 7 of either sign, plus the
    |s| >= k and pk | s corners. *)
@@ -277,9 +449,11 @@ let gen_cold_side =
     let* lo = int_range 0 (2 * p * k) in
     return (p, k, (if neg then -s else s), lo))
 
-(* The run grouping of every side is the one the builder's merge rule
-   gives when fed one maximal block at a time, on sections shorter than
-   one cycle of either side and several cycles of both long. *)
+(* The run grouping of every part of every side (before, a repeat's
+   unit, after) is the one the builder's merge rule gives when fed one
+   maximal block at a time, on sections shorter than one cycle of
+   either side, several cycles of both long, and 2-8 joint periods plus
+   a partial one. *)
 let prop_pack_cold_shapes =
   Tutil.qtest ~count:100 "pack runs: remap-cold shapes = greedy block fold"
     QCheck2.Gen.(
@@ -290,10 +464,15 @@ let prop_pack_cold_shapes =
       let* dst = gen_cold_side in
       let c = min (cycle src) (cycle dst)
       and c' = max (cycle src) (cycle dst) in
+      let joint =
+        joint_period
+          (List.map (fun (p, k, s, _) -> (p, k, s)) [ src; dst ])
+      in
       let* count =
         oneof
           [ int_range 1 (max 1 (c - 1));
-            int_range (min 20_000 (2 * c')) (min 20_000 (4 * c')) ]
+            int_range (min 20_000 (2 * c')) (min 20_000 (4 * c'));
+            gen_periods ~joint ~cap:20_000 ]
       in
       return (src, dst, count))
     ~print:(fun ((sp, sk, ss, sl), (dp, dk, ds, dl), count) ->
@@ -315,11 +494,15 @@ let prop_pack_cold_shapes =
           Pack.local_addresses side
           <> oracle_addresses ~layout ~section tr.Comm_sets.runs
         then QCheck2.Test.fail_report "walk differs from the positional oracle";
+        if Pack.blocks side <> oracle_blocks ~layout ~section tr.Comm_sets.runs
+        then
+          QCheck2.Test.fail_report "blocks differ from the positional oracle";
         (match Tutil.pack_canonical_error side with
         | Some msg -> QCheck2.Test.fail_report msg
         | None -> ());
-        if Tutil.pack_runs side <> Tutil.greedy_runs (Pack.blocks side) then
-          QCheck2.Test.fail_report "runs differ from the greedy block fold"
+        if Tutil.pack_greedy_differs side then
+          QCheck2.Test.fail_report "runs differ from the greedy block fold";
+        kernels_agree ~layout ~section ~proc side
       in
       List.iter
         (fun (tr : Comm_sets.transfer) ->
@@ -572,4 +755,10 @@ let suite =
     prop_pack_runs;
     Alcotest.test_case "cyclic(1) -> cyclic(64): one run per side" `Quick
       test_cyclic_remap_one_run_per_side;
-    prop_pack_cold_shapes ]
+    prop_pack_cold_shapes;
+    Alcotest.test_case "pack fold: doubled extent, same encoded runs" `Quick
+      test_pack_fold_extent_independent;
+    Alcotest.test_case "pack fold: contiguous period junction not folded"
+      `Quick test_pack_fold_contiguous_junction;
+    Alcotest.test_case "pack fold: repeat escaping in its last copy refused"
+      `Quick test_pack_repeat_bounds ]

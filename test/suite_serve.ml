@@ -913,6 +913,69 @@ let test_server_descriptor_cap () =
                   (refused > 0)
           | r -> Alcotest.fail (Format.asprintf "%a" Wire.pp_response r)))
 
+(* A full descriptor table: the listener cannot accept the pending
+   connection, so it must refuse it (EOF for the client, one more
+   [refused]) at once rather than retry in a loop, and serve the next
+   client once descriptors are free again. *)
+let test_server_descriptors_exhausted () =
+  with_server ~cfg:small_cfg (fun t addr ->
+      let path =
+        match addr with `Unix path -> path | `Tcp _ -> assert false
+      in
+      let null =
+        Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+      in
+      let hoard = ref [] in
+      let rec fill n =
+        if n < 1_000_000 then
+          match Unix.dup ~cloexec:true null with
+          | fd ->
+              hoard := fd :: !hoard;
+              fill (n + 1)
+          | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ()
+      in
+      let release () =
+        List.iter close_quietly !hoard;
+        hoard := []
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          release ();
+          close_quietly null)
+        (fun () ->
+          fill 0;
+          (* Free one descriptor, for the client's own socket. *)
+          (match !hoard with
+          | fd :: rest ->
+              Unix.close fd;
+              hoard := rest
+          | [] -> Alcotest.fail "no descriptor hoarded");
+          let fd = raw_connect path in
+          Fun.protect
+            ~finally:(fun () -> close_quietly fd)
+            (fun () ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25;
+              let got =
+                match Unix.read fd (Bytes.create 1) 0 1 with
+                | 0 -> `Eof
+                | _ -> `Data
+                | exception
+                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                    `Nothing
+              in
+              Tutil.check_bool "the pending client is refused within 0.25 s"
+                true (got = `Eof);
+              Tutil.check_bool "refused counted" true
+                ((Server.counters t).refused > 0));
+          release ();
+          let c = Client.connect addr in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              let r = plan_req 9 in
+              Tutil.check_bool "a fresh client is served afterwards" true
+                (right_plan r (Client.plan c r)))))
+
 let test_server_partial_frames () =
   with_server ~cfg:{ small_cfg with workers = 1 } (fun _ addr ->
       let a = Client.connect addr and b = Client.connect addr in
@@ -1037,6 +1100,7 @@ let suite =
     ("server warm restart", `Quick, test_server_warm_restart);
     ("server bounded threads", `Quick, test_server_bounded_threads);
     ("server descriptor cap", `Quick, test_server_descriptor_cap);
+    ("server out of descriptors", `Quick, test_server_descriptors_exhausted);
     ("server partial frames", `Quick, test_server_partial_frames);
     ("server stop with pipelined requests", `Quick, test_server_stop_pipelined);
   ]
