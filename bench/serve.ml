@@ -1,10 +1,11 @@
 (* The serving bench (BENCH_serve.json), in three movements:
 
    1. Cache contention: 8 domains hammering a fixed hot key set through
-      (a) the process-global Plan_cache (one mutex around every
-      lookup), (b) the daemon's sharded store pinned to one shard (same
-      code path, still one mutex), and (c) the sharded store with 16
-      shards. Every lookup is a hit after warm-up, so the critical
+      (a) the process-global Plan_cache, whose "global-mutex" row now
+      measures a one-shard Sharded_lru (one mutex around every lookup),
+      (b) the daemon's sharded store pinned to one shard (the same LRU
+      with the daemon's digests on top), and (c) the sharded store with
+      16 shards. Every lookup is a hit after warm-up, so the critical
       section *is* the workload and the mutex is the bottleneck — this
       isolates exactly what sharding buys the serve path. A 1-domain row
       is measured alongside to separate per-op cost from contention.
@@ -96,7 +97,7 @@ let contention ~quick =
   let iters = if quick then 100_000 else 500_000 in
   let cores = Domain.recommended_domain_count () in
   let problems = Array.init hot_keys hot_problem in
-  (* global single-mutex cache *)
+  (* the process-global cache: a one-shard Sharded_lru *)
   Plan_cache.set_capacity 1024;
   Plan_cache.clear ();
   let global_lookup i =

@@ -48,9 +48,7 @@ let build_uncached pr ~m ~u =
       in
       Some (assemble pr ~m ~u ~table ~fsm ~last)
 
-let build pr ~m ~u =
-  check_m pr m;
-  let view = Plan_cache.find pr ~u in
+let of_view pr ~u view ~m =
   match Plan_cache.last_location view ~m with
   | None -> None
   | Some last ->
@@ -65,6 +63,14 @@ let build pr ~m ~u =
                access table)"
       in
       Some (assemble pr ~m ~u ~table ~fsm ~last)
+
+let build pr ~m ~u =
+  check_m pr m;
+  of_view pr ~u (Plan_cache.find pr ~u) ~m
+
+let build_all pr ~u =
+  let view = Plan_cache.find pr ~u in
+  Array.init pr.Problem.p (fun m -> of_view pr ~u view ~m)
 
 let access_count t =
   Start_finder.count_owned t.problem ~m:t.m ~u:t.u

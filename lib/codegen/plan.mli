@@ -40,6 +40,11 @@ val build : Lams_core.Problem.t -> m:int -> u:int -> t option
     equal to {!build_uncached} on every visited state (tested).
     @raise Invalid_argument if [m] is out of range. *)
 
+val build_all : Lams_core.Problem.t -> u:int -> t option array
+(** [build_all pr ~u] is [Array.init p (fun m -> build pr ~m ~u)] with
+    one cache lookup instead of [p]: one statement's plans for the whole
+    machine. *)
+
 val build_uncached : Lams_core.Problem.t -> m:int -> u:int -> t option
 (** The seed path: per-processor [Kns.gap_table] + [Fsm.build], no
     sharing, no cache. Kept as the differential-testing oracle and for

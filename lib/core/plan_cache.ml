@@ -10,9 +10,27 @@ let c_evictions =
   Lams_obs.Obs.counter "plan_cache.evictions" ~units:"entries"
     ~doc:"least-recently-used entries dropped at capacity"
 
+type key = { p : int; k : int; s : int; l : int; u : int }
+
+module Lru = Lams_util.Sharded_lru.Make (struct
+  type t = key
+
+  let equal (a : key) (b : key) =
+    a.p = b.p && a.k = b.k && a.s = b.s && a.l = b.l && a.u = b.u
+
+  (* A hand-mixed hash: the generic [Hashtbl.hash] costs a C call per
+     lookup, and a lookup hashes twice (shard pick + bucket), so the hot
+     path wants this to be a handful of int ops. *)
+  let hash (k : key) =
+    let h = k.p in
+    let h = (h * 0x1000193) + k.k in
+    let h = (h * 0x1000193) + k.s in
+    let h = (h * 0x1000193) + k.l in
+    let h = (h * 0x1000193) + k.u in
+    h land max_int
+end)
+
 type entry = {
-  problem : Problem.t;  (* canonical: 0 <= l < cycle_span *)
-  u : int;  (* canonical upper bound, u - g_shift *)
   tables : Access_table.t array;
   fsms : Fsm.t option array;
   lasts : int option array;
@@ -27,18 +45,19 @@ type view = { entry : entry; g_shift : int; local_shift : int }
    (g_shift/pk)·k, and all differences — the gaps — are unchanged.
    Canonicalizing to l mod cycle_span (and u - g_shift) lets sections
    that differ only by where they start in the array share one entry. *)
-let canonical pr ~u =
+let canonical_key pr ~u =
+  let { Problem.p; k; l; s } = pr in
   let span = Problem.cycle_span pr in
-  let l0 = pr.Problem.l mod span in
-  let g_shift = pr.Problem.l - l0 in
-  let pr0 =
-    if g_shift = 0 then pr
-    else Problem.make ~p:pr.Problem.p ~k:pr.Problem.k ~l:l0 ~s:pr.Problem.s
-  in
-  let local_shift = g_shift / Problem.row_len pr * pr.Problem.k in
-  (pr0, u - g_shift, g_shift, local_shift)
+  let g_shift = l - (l mod span) in
+  let local_shift = g_shift / Problem.row_len pr * k in
+  ({ p; k; s; l = l - g_shift; u = u - g_shift }, g_shift, local_shift)
 
-let canonicalize pr ~u = canonical pr ~u
+let problem_of_key (key : key) = Problem.make ~p:key.p ~k:key.k ~l:key.l ~s:key.s
+
+let canonicalize pr ~u =
+  let key, g_shift, local_shift = canonical_key pr ~u in
+  let pr0 = if g_shift = 0 then pr else problem_of_key key in
+  (pr0, key.u, g_shift, local_shift)
 
 let build_entry pr ~u =
   let p = pr.Problem.p in
@@ -55,65 +74,27 @@ let build_entry pr ~u =
           Array.init p (fun m -> Fsm.build pr ~m) )
   in
   let lasts = Array.init p (fun m -> Start_finder.last_location pr ~m ~u) in
-  { problem = pr; u; tables; fsms; lasts }
-
-type slot = { entry : entry; mutable last_used : int }
+  { tables; fsms; lasts }
 
 let default_capacity = 64
-let cap = ref default_capacity
-let tick = ref 0
-let table_mutex = Mutex.create ()
 
-let cache : (int * int * int * int * int, slot) Hashtbl.t = Hashtbl.create 64
+(* One shard, so one global LRU order: a shard holding a fraction of a
+   64-entry capacity would evict by its own recency and lose hits to a
+   Zipf-skewed statement mix. *)
+let cache =
+  Lru.create ~shards:1
+    ~on_evict:(fun () -> Lams_obs.Obs.incr c_evictions)
+    ~capacity:default_capacity ()
 
-(* Callers hold [table_mutex]. *)
-let evict_down_to target =
-  while Hashtbl.length cache > target do
-    let victim = ref None in
-    Hashtbl.iter
-      (fun key slot ->
-        match !victim with
-        | Some (_, age) when age <= slot.last_used -> ()
-        | _ -> victim := Some (key, slot.last_used))
-      cache;
-    match !victim with
-    | None -> ()
-    | Some (key, _) ->
-        Hashtbl.remove cache key;
-        Lams_obs.Obs.incr c_evictions
-  done
+let build_key_entry key = build_entry (problem_of_key key) ~u:key.u
 
 let find pr ~u =
-  let pr0, u0, g_shift, local_shift = canonical pr ~u in
-  let key = (pr0.Problem.p, pr0.Problem.k, pr0.Problem.s, pr0.Problem.l, u0) in
-  Mutex.lock table_mutex;
-  match Hashtbl.find_opt cache key with
-  | Some slot ->
-      incr tick;
-      slot.last_used <- !tick;
-      Mutex.unlock table_mutex;
-      Lams_obs.Obs.incr c_hits;
-      { entry = slot.entry; g_shift; local_shift }
-  | None ->
-      Mutex.unlock table_mutex;
-      Lams_obs.Obs.incr c_misses;
-      (* Build outside the lock so parallel fills of different problems
-         never serialize; a racing double-build of the same key is
-         harmless (both entries are correct, first insert wins). *)
-      let entry = build_entry pr0 ~u:u0 in
-      Mutex.lock table_mutex;
-      (if !cap > 0 && not (Hashtbl.mem cache key) then begin
-         evict_down_to (!cap - 1);
-         incr tick;
-         Hashtbl.add cache key { entry; last_used = !tick }
-       end);
-      Mutex.unlock table_mutex;
-      { entry; g_shift; local_shift }
+  let key, g_shift, local_shift = canonical_key pr ~u in
+  let entry, hit = Lru.find_or_build cache key ~build:build_key_entry in
+  Lams_obs.Obs.incr (if hit then c_hits else c_misses);
+  { entry; g_shift; local_shift }
 
 let view_of_entry entry ~g_shift ~local_shift = { entry; g_shift; local_shift }
-
-let entry_problem (e : entry) = e.problem
-let entry_u (e : entry) = e.u
 
 let table (v : view) ~m =
   let t = v.entry.tables.(m) in
@@ -134,33 +115,7 @@ let last_location (v : view) ~m =
   Option.map (fun g -> g + v.g_shift) v.entry.lasts.(m)
 
 let g_shift (v : view) = v.g_shift
-
-let size () =
-  Mutex.lock table_mutex;
-  let n = Hashtbl.length cache in
-  Mutex.unlock table_mutex;
-  n
-
-let capacity () = !cap
-
-let set_capacity n =
-  Mutex.lock table_mutex;
-  cap := max 0 n;
-  evict_down_to !cap;
-  Mutex.unlock table_mutex
-
-let clear () =
-  Mutex.lock table_mutex;
-  Hashtbl.reset cache;
-  (* Restart the LRU clock with the entries: a cleared cache that kept
-     ticking would hand new entries [last_used] stamps incomparable with
-     a later wrap or snapshot, and tests that reason about eviction
-     order after [clear] would depend on everything run before them. *)
-  tick := 0;
-  Mutex.unlock table_mutex
-
-let lru_tick () =
-  Mutex.lock table_mutex;
-  let t = !tick in
-  Mutex.unlock table_mutex;
-  t
+let size () = Lru.size cache
+let capacity () = Lru.capacity cache
+let set_capacity n = Lru.set_capacity cache n
+let clear () = Lru.clear cache

@@ -11,11 +11,14 @@
     and every local address by [(shift/pk)·k] while leaving offsets,
     owners and gaps untouched, so entries are keyed on
     [(p, k, s, l mod cycle_span, u - shift)] and views rebase on the way
-    out. Lookups and fills are mutex-safe for parallel SPMD use; entry
-    construction happens outside the lock.
+    out.
 
-    Hits, misses and evictions are {!Lams_obs.Obs} counters
-    ([plan_cache.*]), visible in [lams stats --metrics]. *)
+    The entries live in a one-shard {!Lams_util.Sharded_lru}: one global
+    LRU order, safe for parallel SPMD lookups, with entry construction
+    outside the lock. The serving daemon keeps its own many-shard
+    instances of the same {!Lru} over the same keys. Hits, misses and
+    evictions are {!Lams_obs.Obs} counters ([plan_cache.*]), visible in
+    [lams stats --metrics]. *)
 
 type view
 (** A cache entry rebased to the caller's original [l]: read-only access
@@ -23,23 +26,31 @@ type view
     reachable through a view are shared with the cache and with other
     views — treat them as immutable. *)
 
-(** {2 Canonicalization and entry construction}
+(** {2 Keys, entries and the LRU}
 
-    Exposed for external caches — the serving daemon's sharded LRU
-    ({!Lams_serve}) keys entries on the canonical tuple and builds them
-    through {!build_entry}, bypassing this module's single global mutex
-    entirely while reusing its construction and rebase logic. *)
+    Exposed for the serving daemon's stores ({!Lams_serve}), which are
+    {!Lru} instances keyed by {!canonical_key} with values built through
+    {!build_entry}. *)
+
+type key = private { p : int; k : int; s : int; l : int; u : int }
+(** A canonical section: [0 <= l < cycle_span], [u] shifted to match. *)
+
+module Lru : Lams_util.Sharded_lru.S with type key = key
 
 type entry
 (** One whole-machine plan at canonical [l]: all [p] gap tables,
     offset-indexed FSMs and last locations. Immutable once built. *)
 
+val canonical_key : Problem.t -> u:int -> key * int * int
+(** [canonical_key pr ~u] is [(key, g_shift, local_shift)]: the section
+    translated down to [l mod cycle_span], and the global/local rebase
+    deltas a view needs on the way back out. Translated sections share
+    one key. *)
+
 val canonicalize : Problem.t -> u:int -> Problem.t * int * int * int
 (** [canonicalize pr ~u] is [(pr0, u0, g_shift, local_shift)]: the
-    problem translated down to [l mod cycle_span], the correspondingly
-    shifted upper bound, and the global/local rebase deltas a view needs
-    on the way back out. [(pr0.p, pr0.k, pr0.s, pr0.l, u0)] is the
-    cache key under which translated sections collide. *)
+    problem and upper bound of {!canonical_key}'s key, with the same
+    deltas. *)
 
 val build_entry : Problem.t -> u:int -> entry
 (** Build the whole-machine plan for an (already canonical) problem —
@@ -47,13 +58,8 @@ val build_entry : Problem.t -> u:int -> entry
     otherwise. Pure; does not touch the process-wide cache. *)
 
 val view_of_entry : entry -> g_shift:int -> local_shift:int -> view
-(** Rebase an entry with the deltas from {!canonicalize} ([0]/[0] for a
+(** Rebase an entry with the deltas from {!canonical_key} ([0]/[0] for a
     canonical query). *)
-
-val entry_problem : entry -> Problem.t
-val entry_u : entry -> int
-(** The canonical problem / upper bound an entry was built for
-    (log-replay and test plumbing). *)
 
 val find : Problem.t -> u:int -> view
 (** Lookup-or-build. Never raises on well-formed problems; the result is
@@ -85,12 +91,8 @@ val set_capacity : int -> unit
 (** Clamp to [>= 0]; [0] disables caching. Evicts down immediately. *)
 
 val clear : unit -> unit
-(** Drop every entry (does not count as evictions) and reset the LRU
-    clock, so [last_used] ordering after reuse never depends on history
-    from before the clear. *)
-
-val lru_tick : unit -> int
-(** The LRU clock's current value: bumped on every hit and insert, [0]
-    right after {!clear}. Exposed for the accounting tests. *)
+(** Drop every entry (does not count as evictions) and restart the LRU
+    clock, so the eviction order afterwards depends only on lookups made
+    since the clear. *)
 
 val default_capacity : int

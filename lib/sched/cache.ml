@@ -13,6 +13,43 @@ let c_evictions =
   Lams_obs.Obs.counter "sched.cache.evictions" ~units:"entries"
     ~doc:"least-recently-used schedules dropped at capacity"
 
+type key = {
+  sp : int;
+  sk : int;
+  ssec : int * int * int;
+  dp : int;
+  dk : int;
+  dsec : int * int * int;
+}
+
+module Lru = Lams_util.Sharded_lru.Make (struct
+  type t = key
+
+  let equal (a : key) (b : key) =
+    a.sp = b.sp && a.sk = b.sk && a.dp = b.dp && a.dk = b.dk
+    &&
+    let slo, shi, sst = a.ssec and slo', shi', sst' = b.ssec in
+    slo = slo' && shi = shi' && sst = sst'
+    &&
+    let dlo, dhi, dst = a.dsec and dlo', dhi', dst' = b.dsec in
+    dlo = dlo' && dhi = dhi' && dst = dst'
+
+  (* Hand-mixed like Plan_cache's key hash: a few int ops, no C call. *)
+  let hash (k : key) =
+    let slo, shi, sst = k.ssec and dlo, dhi, dst = k.dsec in
+    let h = k.sp in
+    let h = (h * 0x1000193) + k.sk in
+    let h = (h * 0x1000193) + slo in
+    let h = (h * 0x1000193) + shi in
+    let h = (h * 0x1000193) + sst in
+    let h = (h * 0x1000193) + k.dp in
+    let h = (h * 0x1000193) + k.dk in
+    let h = (h * 0x1000193) + dlo in
+    let h = (h * 0x1000193) + dhi in
+    let h = (h * 0x1000193) + dst in
+    h land max_int
+end)
+
 (* Canonicalization mirrors Plan_cache: translating a section by a
    multiple of its side's cycle span (s·pk/d of the normalised problem)
    leaves every traversal-position residue class — hence the comm sets,
@@ -35,9 +72,30 @@ let canonical_side layout (sec : Section.t) =
   (sec0, local_shift)
 
 let canonicalize ~src_layout ~src_section ~dst_layout ~dst_section =
-  let src0, src_shift = canonical_side src_layout src_section in
-  let dst0, dst_shift = canonical_side dst_layout dst_section in
-  ((src0, src_shift), (dst0, dst_shift))
+  (canonical_side src_layout src_section, canonical_side dst_layout dst_section)
+
+let triplet (s : Section.t) = (s.Section.lo, s.Section.hi, s.Section.stride)
+
+let build_key ~src_layout ~src_section ~dst_layout ~dst_section =
+  let (src0, src_shift), (dst0, dst_shift) =
+    canonicalize ~src_layout ~src_section ~dst_layout ~dst_section
+  in
+  ( { sp = src_layout.Layout.p;
+      sk = src_layout.Layout.k;
+      ssec = triplet src0;
+      dp = dst_layout.Layout.p;
+      dk = dst_layout.Layout.k;
+      dsec = triplet dst0 },
+    src_shift,
+    dst_shift )
+
+let build_schedule key =
+  let slo, shi, sst = key.ssec and dlo, dhi, dst = key.dsec in
+  Schedule.build
+    ~src_layout:(Layout.create ~p:key.sp ~k:key.sk)
+    ~src_section:(Section.make ~lo:slo ~hi:shi ~stride:sst)
+    ~dst_layout:(Layout.create ~p:key.dp ~k:key.dk)
+    ~dst_section:(Section.make ~lo:dlo ~hi:dhi ~stride:dst)
 
 (* Debug re-validation of rebased schedules served from the hit path:
    off in normal runs (the rebase is a pure uniform translation), on
@@ -64,95 +122,27 @@ let checked_rebase sched ~src_delta ~dst_delta =
           ("Sched.Cache: rebased schedule failed validation: " ^ msg));
   rebased
 
-type key = {
-  sp : int;
-  sk : int;
-  ssec : int * int * int;
-  dp : int;
-  dk : int;
-  dsec : int * int * int;
-}
-
-type slot = { sched : Schedule.t; mutable last_used : int }
-
 let default_capacity = 32
-let cap = ref default_capacity
-let tick = ref 0
-let table_mutex = Mutex.create ()
-let cache : (key, slot) Hashtbl.t = Hashtbl.create 32
 
-(* Callers hold [table_mutex]. *)
-let evict_down_to target =
-  while Hashtbl.length cache > target do
-    let victim = ref None in
-    Hashtbl.iter
-      (fun key slot ->
-        match !victim with
-        | Some (_, age) when age <= slot.last_used -> ()
-        | _ -> victim := Some (key, slot.last_used))
-      cache;
-    match !victim with
-    | None -> ()
-    | Some (key, _) ->
-        Hashtbl.remove cache key;
-        Lams_obs.Obs.incr c_evictions
-  done
-
-let triplet (s : Section.t) = (s.Section.lo, s.Section.hi, s.Section.stride)
+(* One shard, like Plan_cache: one global LRU order. *)
+let cache =
+  Lru.create ~shards:1
+    ~on_evict:(fun () -> Lams_obs.Obs.incr c_evictions)
+    ~capacity:default_capacity ()
 
 let find ~src_layout ~src_section ~dst_layout ~dst_section =
-  let src0, src_shift = canonical_side src_layout src_section in
-  let dst0, dst_shift = canonical_side dst_layout dst_section in
-  let key =
-    { sp = src_layout.Layout.p;
-      sk = src_layout.Layout.k;
-      ssec = triplet src0;
-      dp = dst_layout.Layout.p;
-      dk = dst_layout.Layout.k;
-      dsec = triplet dst0 }
+  let key, src_delta, dst_delta =
+    build_key ~src_layout ~src_section ~dst_layout ~dst_section
   in
-  Mutex.lock table_mutex;
-  match Hashtbl.find_opt cache key with
-  | Some slot ->
-      incr tick;
-      slot.last_used <- !tick;
-      Mutex.unlock table_mutex;
+  match Lru.find_or_build cache key ~build:build_schedule with
+  | sched, true ->
       Lams_obs.Obs.incr c_hits;
-      checked_rebase slot.sched ~src_delta:src_shift ~dst_delta:dst_shift
-  | None ->
-      Mutex.unlock table_mutex;
+      checked_rebase sched ~src_delta ~dst_delta
+  | sched, false ->
       Lams_obs.Obs.incr c_misses;
-      (* Build outside the lock; a racing double-build of the same key
-         is harmless (both schedules are correct, first insert wins). *)
-      let sched =
-        Schedule.build ~src_layout ~src_section:src0 ~dst_layout
-          ~dst_section:dst0
-      in
-      Mutex.lock table_mutex;
-      (if !cap > 0 && not (Hashtbl.mem cache key) then begin
-         evict_down_to (!cap - 1);
-         incr tick;
-         Hashtbl.add cache key { sched; last_used = !tick }
-       end);
-      Mutex.unlock table_mutex;
-      Schedule.rebase sched ~src_delta:src_shift ~dst_delta:dst_shift
+      Schedule.rebase sched ~src_delta ~dst_delta
 
-let size () =
-  Mutex.lock table_mutex;
-  let n = Hashtbl.length cache in
-  Mutex.unlock table_mutex;
-  n
-
-let capacity () = !cap
-
-let set_capacity n =
-  Mutex.lock table_mutex;
-  cap := max 0 n;
-  evict_down_to !cap;
-  Mutex.unlock table_mutex
-
-let clear () =
-  Mutex.lock table_mutex;
-  Hashtbl.reset cache;
-  tick := 0;
-  Mutex.unlock table_mutex
+let size () = Lru.size cache
+let capacity () = Lru.capacity cache
+let set_capacity n = Lru.set_capacity cache n
+let clear () = Lru.clear cache

@@ -8,8 +8,11 @@
     every local address on that side by a fixed amount, so a hit is a
     cheap {!Schedule.rebase} instead of a full inspector run.
 
-    Thread-safe; misses build outside the lock. Hits, misses and
-    evictions are observable as [sched.cache.*] counters. *)
+    The entries live in a one-shard {!Lams_util.Sharded_lru} (one global
+    LRU order; misses build outside the lock). The serving daemon keeps
+    its own many-shard instances of the same {!Lru} over the same keys.
+    Hits, misses and evictions are observable as [sched.cache.*]
+    counters. *)
 
 val find :
   src_layout:Lams_dist.Layout.t ->
@@ -28,10 +31,35 @@ val canonicalize :
   (Lams_dist.Section.t * int) * (Lams_dist.Section.t * int)
 (** [(canonical_src, src_local_shift), (canonical_dst, dst_local_shift)]:
     each side normalized and translated down by its cycle span, with the
-    local-address delta that {!Schedule.rebase} needs on the way out.
-    Exposed for external caches (the serving daemon's sharded LRU keys
-    schedules on the canonical pair without taking this module's global
-    mutex). *)
+    local-address delta that {!Schedule.rebase} needs on the way out. *)
+
+(** {2 Keys and the LRU}
+
+    Exposed for the serving daemon's schedule store, an {!Lru} instance
+    keyed by {!build_key} with values built through {!build_schedule}. *)
+
+type key = private {
+  sp : int;
+  sk : int;
+  ssec : int * int * int;  (** canonical source [lo, hi, stride] *)
+  dp : int;
+  dk : int;
+  dsec : int * int * int;
+}
+
+module Lru : Lams_util.Sharded_lru.S with type key = key
+
+val build_key :
+  src_layout:Lams_dist.Layout.t ->
+  src_section:Lams_dist.Section.t ->
+  dst_layout:Lams_dist.Layout.t ->
+  dst_section:Lams_dist.Section.t ->
+  key * int * int
+(** [(key, src_local_shift, dst_local_shift)]: {!canonicalize}'s two
+    sides as one key, translated sections sharing it. *)
+
+val build_schedule : key -> Schedule.t
+(** Run the inspector at the key's canonical positions. Pure. *)
 
 val size : unit -> int
 val capacity : unit -> int

@@ -112,8 +112,9 @@ let rotate t ~plans ~scheds =
   with_lock t (fun () ->
       let tmp = t.path ^ ".tmp" in
       let oc = open_out tmp in
-      Store.Plan_store.iter_keys plans (fun k -> output_string oc (plan_line k));
-      Store.Sched_store.iter_keys scheds (fun k ->
+      Lams_core.Plan_cache.Lru.iter_keys plans (fun k ->
+          output_string oc (plan_line k));
+      Lams_sched.Cache.Lru.iter_keys scheds (fun k ->
           output_string oc (sched_line k));
       close_out oc;
       (match t.oc with

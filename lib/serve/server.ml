@@ -194,8 +194,8 @@ let counters t =
     replayed = t.replayed;
   }
 
-let plan_stats t = Store.Plan_store.stats t.plans
-let sched_stats t = Store.Sched_store.stats t.scheds
+let plan_stats t = Lams_core.Plan_cache.Lru.stats t.plans
+let sched_stats t = Lams_sched.Cache.Lru.stats t.scheds
 
 let stats_payload t =
   let c = counters t in

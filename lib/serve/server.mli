@@ -82,8 +82,8 @@ val stop : t -> unit
 (** Graceful shutdown as described above. Idempotent. *)
 
 val counters : t -> counters
-val plan_stats : t -> Store.stats
-val sched_stats : t -> Store.stats
+val plan_stats : t -> Lams_util.Sharded_lru.stats
+val sched_stats : t -> Lams_util.Sharded_lru.stats
 
 val stats_payload : t -> Wire.stats_payload
 (** What a [Stats] request answers: the counters above, both stores'

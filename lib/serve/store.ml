@@ -1,55 +1,29 @@
 module Problem = Lams_core.Problem
 module Plan_cache = Lams_core.Plan_cache
+module Cache = Lams_sched.Cache
 module Start_finder = Lams_core.Start_finder
 module Layout = Lams_dist.Layout
 module Section = Lams_dist.Section
 module Schedule = Lams_sched.Schedule
 
-type stats = {
-  size : int;
-  capacity : int;
-  shards : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  insertions : int;
-  removals : int;
-}
-
 let max_procs = 4096
+let max_work = 1 lsl 20
+let max_count = 1 lsl 20
 
 let fnv_fold init xs = List.fold_left (fun h x -> Wire.fnv1a64 ~init:h x) init xs
 
+(* [p * k] may overflow on hostile input; the quotient cannot. *)
+let over_work ~p ~k = k > max_work / p
+
+let work_msg ~p ~k =
+  Printf.sprintf "p * k = %d * %d exceeds the serving cap (%d)" p k max_work
+
 module Plan_store = struct
-  type key = { p : int; k : int; s : int; l : int; u : int }
-
-  module Lru = Lams_util.Sharded_lru.Make (struct
-    type t = key
-
-    let equal (a : key) (b : key) =
-      a.p = b.p && a.k = b.k && a.s = b.s && a.l = b.l && a.u = b.u
-
-    (* A hand-mixed hash: the generic [Hashtbl.hash] costs a C call per
-       lookup, and the sharded store hashes twice (shard pick + bucket),
-       so the serve hot path wants this to be a handful of int ops. *)
-    let hash (k : key) =
-      let h = k.p in
-      let h = (h * 0x1000193) + k.k in
-      let h = (h * 0x1000193) + k.s in
-      let h = (h * 0x1000193) + k.l in
-      let h = (h * 0x1000193) + k.u in
-      h land max_int
-  end)
-
+  type key = Plan_cache.key
   type value = { entry : Plan_cache.entry; digests : Wire.proc_digest array }
-  type t = value Lru.t
+  type t = value Plan_cache.Lru.t
 
-  let create ?shards ~capacity () = Lru.create ?shards ~capacity ()
-
-  let canonical_key pr ~u =
-    let pr0, u0, g_shift, local_shift = Plan_cache.canonicalize pr ~u in
-    let { Problem.p; k; l; s } = pr0 in
-    ({ p; k; s; l; u = u0 }, g_shift, local_shift)
+  let create ?shards ~capacity () = Plan_cache.Lru.create ?shards ~capacity ()
 
   let key_of_req (r : Wire.plan_req) =
     if r.p > max_procs then
@@ -58,8 +32,9 @@ module Plan_store = struct
       Error (Printf.sprintf "empty section: u = %d < l = %d" r.u r.l)
     else
       match Problem.make ~p:r.p ~k:r.k ~l:r.l ~s:r.s with
-      | pr -> Ok (canonical_key pr ~u:r.u)
       | exception Invalid_argument msg -> Error msg
+      | _ when over_work ~p:r.p ~k:r.k -> Error (work_msg ~p:r.p ~k:r.k)
+      | pr -> Ok (Plan_cache.canonical_key pr ~u:r.u)
 
   (* One processor's digest at canonical position. [table_hash] folds
      only shift-invariant data (gap period, gaps, FSM transitions), so a
@@ -111,7 +86,7 @@ module Plan_store = struct
     in
     { entry; digests }
 
-  let find_key t key = Lru.find_or_build t key ~build:build_value
+  let find_key t key = Plan_cache.Lru.find_or_build t key ~build:build_value
 
   let digest v ~local_shift ~hit =
     let procs =
@@ -130,89 +105,41 @@ module Plan_store = struct
     in
     { Wire.plan_hit = hit; procs }
 
-  let view v ~g_shift ~local_shift =
-    Plan_cache.view_of_entry v.entry ~g_shift ~local_shift
-
   let find t pr ~u =
-    let key, g_shift, local_shift = canonical_key pr ~u in
+    let key, g_shift, local_shift = Plan_cache.canonical_key pr ~u in
     let v, hit = find_key t key in
-    (view v ~g_shift ~local_shift, hit)
-
-  let stats t =
-    {
-      size = Lru.size t;
-      capacity = Lru.capacity t;
-      shards = Lru.shards t;
-      hits = Lru.hits t;
-      misses = Lru.misses t;
-      evictions = Lru.evictions t;
-      insertions = Lru.insertions t;
-      removals = Lru.removals t;
-    }
-
-  let clear = Lru.clear
-  let iter_keys = Lru.iter_keys
+    (Plan_cache.view_of_entry v.entry ~g_shift ~local_shift, hit)
 end
 
 module Sched_store = struct
-  type key = {
-    sp : int;
-    sk : int;
-    ssec : int * int * int;
-    dp : int;
-    dk : int;
-    dsec : int * int * int;
-  }
-
-  module Lru = Lams_util.Sharded_lru.Make (struct
-    type t = key
-
-    let equal (a : key) (b : key) =
-      a.sp = b.sp && a.sk = b.sk && a.dp = b.dp && a.dk = b.dk
-      &&
-      let slo, shi, sst = a.ssec and slo', shi', sst' = b.ssec in
-      slo = slo' && shi = shi' && sst = sst'
-      &&
-      let dlo, dhi, dst = a.dsec and dlo', dhi', dst' = b.dsec in
-      dlo = dlo' && dhi = dhi' && dst = dst'
-
-    let hash (k : key) =
-      let slo, shi, sst = k.ssec and dlo, dhi, dst = k.dsec in
-      let h = k.sp in
-      let h = (h * 0x1000193) + k.sk in
-      let h = (h * 0x1000193) + slo in
-      let h = (h * 0x1000193) + shi in
-      let h = (h * 0x1000193) + sst in
-      let h = (h * 0x1000193) + k.dp in
-      let h = (h * 0x1000193) + k.dk in
-      let h = (h * 0x1000193) + dlo in
-      let h = (h * 0x1000193) + dhi in
-      let h = (h * 0x1000193) + dst in
-      h land max_int
-  end)
+  type key = Cache.key
 
   type value = {
-    sched : Schedule.t;  (** at canonical section positions *)
     sdig : Wire.sched_digest;  (** with [sched_hit = false] *)
     rdig : Wire.redist_digest;  (** with [redist_hit = false] *)
   }
 
-  type t = value Lru.t
+  type t = value Cache.Lru.t
 
-  let create ?shards ~capacity () = Lru.create ?shards ~capacity ()
-
-  let triplet (sec : Section.t) = (sec.lo, sec.hi, sec.stride)
+  let create ?shards ~capacity () = Cache.Lru.create ?shards ~capacity ()
 
   let validate_side ~what ~p ~k (lo, hi, stride) =
     if p < 1 || p > max_procs then
       Error (Printf.sprintf "%s: p = %d out of [1, %d]" what p max_procs)
     else if k < 1 then Error (Printf.sprintf "%s: k = %d must be >= 1" what k)
+    else if over_work ~p ~k then Error (what ^ ": " ^ work_msg ~p ~k)
     else if stride = 0 then Error (Printf.sprintf "%s: stride must be non-zero" what)
     else if lo < 0 || hi < 0 then
       Error (Printf.sprintf "%s: negative section bound" what)
     else
       let sec = Section.make ~lo ~hi ~stride in
-      if Section.is_empty sec then Error (Printf.sprintf "%s: empty section" what)
+      let n = Section.count sec in
+      if n = 0 then Error (Printf.sprintf "%s: empty section" what)
+      else if n < 0 || n > max_count then
+        (* [n < 0]: the count of [0 : max_int] wraps. *)
+        Error
+          (Printf.sprintf "%s: section exceeds the serving cap of %d elements"
+             what max_count)
       else Ok (Layout.create ~p ~k, sec)
 
   let key_of_req (r : Wire.sched_req) =
@@ -229,21 +156,7 @@ module Sched_store = struct
             (Printf.sprintf "element count mismatch: source %d, destination %d"
                (Section.count src_section) (Section.count dst_section))
         else
-          let (src0, src_shift), (dst0, dst_shift) =
-            Lams_sched.Cache.canonicalize ~src_layout ~src_section ~dst_layout
-              ~dst_section
-          in
-          Ok
-            ( {
-                sp = r.src_p;
-                sk = r.src_k;
-                ssec = triplet src0;
-                dp = r.dst_p;
-                dk = r.dst_k;
-                dsec = triplet dst0;
-              },
-              src_shift,
-              dst_shift )
+          Ok (Cache.build_key ~src_layout ~src_section ~dst_layout ~dst_section)
 
   let digests_of_schedule (sched : Schedule.t) =
     let shape_hash =
@@ -289,37 +202,11 @@ module Sched_store = struct
     in
     (sdig, rdig)
 
-  let build_value (key : key) =
-    let slo, shi, sst = key.ssec and dlo, dhi, dst = key.dsec in
-    let sched =
-      Schedule.build
-        ~src_layout:(Layout.create ~p:key.sp ~k:key.sk)
-        ~src_section:(Section.make ~lo:slo ~hi:shi ~stride:sst)
-        ~dst_layout:(Layout.create ~p:key.dp ~k:key.dk)
-        ~dst_section:(Section.make ~lo:dlo ~hi:dhi ~stride:dst)
-    in
-    let sdig, rdig = digests_of_schedule sched in
-    { sched; sdig; rdig }
+  let build_value key =
+    let sdig, rdig = digests_of_schedule (Cache.build_schedule key) in
+    { sdig; rdig }
 
-  let find_key t key = Lru.find_or_build t key ~build:build_value
+  let find_key t key = Cache.Lru.find_or_build t key ~build:build_value
   let sched_digest v ~hit = { v.sdig with Wire.sched_hit = hit }
   let redist_digest v ~hit = { v.rdig with Wire.redist_hit = hit }
-
-  let schedule v ~src_shift ~dst_shift =
-    Schedule.rebase v.sched ~src_delta:src_shift ~dst_delta:dst_shift
-
-  let stats t =
-    {
-      size = Lru.size t;
-      capacity = Lru.capacity t;
-      shards = Lru.shards t;
-      hits = Lru.hits t;
-      misses = Lru.misses t;
-      evictions = Lru.evictions t;
-      insertions = Lru.insertions t;
-      removals = Lru.removals t;
-    }
-
-  let clear = Lru.clear
-  let iter_keys = Lru.iter_keys
 end

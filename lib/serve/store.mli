@@ -1,48 +1,42 @@
-(** The daemon's caches: sharded LRUs over canonical plan and schedule
-    keys.
+(** The daemon's caches: many-shard instances of the library's plan and
+    schedule LRUs.
 
-    These replace the single-mutex process caches
-    ({!Lams_core.Plan_cache}, {!Lams_sched.Cache}) on the serve path:
-    keys are the same canonical tuples those caches use (so the hit
-    semantics are identical — translated sections collide), but lookups
-    go through {!Lams_util.Sharded_lru} with one mutex per shard, and
-    misses build through the exposed construction entry points without
-    ever touching the global caches. Each cached value carries the wire
-    digest precomputed at canonical position; a hit rebases the two
+    {!Plan_store} is a {!Lams_core.Plan_cache.Lru} and {!Sched_store} a
+    {!Lams_sched.Cache.Lru}, keyed by the library's own canonical keys
+    (so the hit semantics are identical: translated sections collide),
+    but with the daemon's configured shard count and its own entries,
+    apart from the process-wide caches. What this module adds is request
+    validation and the wire digests: each cached value carries its
+    digest precomputed at canonical position, and a hit rebases the two
     position-dependent fields and never re-hashes. *)
-
-type stats = {
-  size : int;
-  capacity : int;
-  shards : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  insertions : int;
-  removals : int;
-}
 
 val max_procs : int
 (** Serving cap on [p] (and on each side of a redistribution): plan
     digests are [O(p)] on the wire, so a query past this bound is an
     [E_invalid_request], not a build. *)
 
-module Plan_store : sig
-  type key = private { p : int; k : int; s : int; l : int; u : int }
-  (** Canonical: [0 <= l < cycle_span], [u] shifted to match. *)
+val max_work : int
+(** Serving cap on [p·k] of a plan and of each side of a schedule
+    ([2{^20}]): a build's time and memory grow with it, and it runs on
+    the worker that every other client of that worker waits on. *)
 
+val max_count : int
+(** Serving cap on the element count of a schedule request ([2{^20}]),
+    for the same reason. *)
+
+module Plan_store : sig
+  type key = Lams_core.Plan_cache.key
   type value
-  type t
+  type t = value Lams_core.Plan_cache.Lru.t
 
   val create : ?shards:int -> capacity:int -> unit -> t
 
-  val canonical_key : Lams_core.Problem.t -> u:int -> key * int * int
-  (** [(key, g_shift, local_shift)], per
-      {!Lams_core.Plan_cache.canonicalize}. *)
-
   val key_of_req : Wire.plan_req -> (key * int * int, string) result
-  (** Validate and canonicalize a wire request ([Error] on arguments
-      {!Lams_core.Problem.make} rejects, or [p > max_procs]). *)
+  (** Validate and canonicalize a wire request into
+      [(key, g_shift, local_shift)], per
+      {!Lams_core.Plan_cache.canonical_key} ([Error] on arguments
+      {!Lams_core.Problem.make} rejects, [p > max_procs] or
+      [p·k > max_work]). *)
 
   val find_key : t -> key -> value * bool
   (** Lookup-or-build under the canonical key; [true] = served from the
@@ -51,37 +45,24 @@ module Plan_store : sig
   val digest : value -> local_shift:int -> hit:bool -> Wire.plan_digest
   (** The wire digest rebased to the requester's section position. *)
 
-  val view : value -> g_shift:int -> local_shift:int -> Lams_core.Plan_cache.view
-  (** The underlying whole-machine plan, rebased — what the hammer test
-      diffs against {!Lams_codegen.Plan.build_uncached}. *)
-
   val find : t -> Lams_core.Problem.t -> u:int -> Lams_core.Plan_cache.view * bool
-  (** Convenience composition of the three steps above. *)
-
-  val stats : t -> stats
-  val clear : t -> unit
-  val iter_keys : t -> (key -> unit) -> unit
+  (** Canonicalize, look up and rebase: the underlying whole-machine
+      plan, which the hammer test diffs against
+      {!Lams_codegen.Plan.build_uncached}. *)
 end
 
 module Sched_store : sig
-  type key = private {
-    sp : int;
-    sk : int;
-    ssec : int * int * int;  (** canonical source [lo, hi, stride] *)
-    dp : int;
-    dk : int;
-    dsec : int * int * int;
-  }
-
+  type key = Lams_sched.Cache.key
   type value
-  type t
+  type t = value Lams_sched.Cache.Lru.t
 
   val create : ?shards:int -> capacity:int -> unit -> t
 
   val key_of_req : Wire.sched_req -> (key * int * int, string) result
   (** [(key, src_local_shift, dst_local_shift)] per
-      {!Lams_sched.Cache.canonicalize}; [Error] on invalid layouts,
-      empty or count-mismatched sections, or [p] past {!max_procs}. *)
+      {!Lams_sched.Cache.build_key}; [Error] on invalid layouts, empty
+      or count-mismatched sections, [p] past {!max_procs}, [p·k] past
+      {!max_work} or a count past {!max_count}. *)
 
   val find_key : t -> key -> value * bool
 
@@ -90,11 +71,4 @@ module Sched_store : sig
   val redist_digest : value -> hit:bool -> Wire.redist_digest
   (** Digests are translation-invariant (they carry no local addresses),
       so hits need no rebase at all. *)
-
-  val schedule : value -> src_shift:int -> dst_shift:int -> Lams_sched.Schedule.t
-  (** The full rebased schedule (tests; the wire sends only digests). *)
-
-  val stats : t -> stats
-  val clear : t -> unit
-  val iter_keys : t -> (key -> unit) -> unit
 end

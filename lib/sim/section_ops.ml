@@ -9,15 +9,16 @@ let check_section (a : Darray.t) sec =
   if norm.Section.lo < 0 || norm.Section.hi >= Darray.size a then
     invalid_arg "Section_ops: section outside the array"
 
-let plan_for (a : Darray.t) sec ~m =
+let plans (a : Darray.t) sec =
   let norm = Section.normalize sec in
   let pr = Problem.of_section (Darray.layout a) norm in
-  Plan.build pr ~m ~u:norm.Section.hi
+  Plan.build_all pr ~u:norm.Section.hi
 
 let fill ?(shape = Shapes.Shape_d) ?(parallel = false) a sec v =
   check_section a sec;
+  let plans = plans a sec in
   let body m =
-    match plan_for a sec ~m with
+    match plans.(m) with
     | None -> ()
     | Some plan -> Shapes.assign shape plan (Local_store.data (Darray.local a m)) v
   in
@@ -28,7 +29,7 @@ let fill_timed ?(shape = Shapes.Shape_d) a sec v =
   check_section a sec;
   (* Plans are built outside the timed region: Table 2 times the node code
      only (table construction is Table 1's subject). *)
-  let plans = Array.init (Darray.procs a) (fun m -> plan_for a sec ~m) in
+  let plans = plans a sec in
   Spmd.run_timed ~p:(Darray.procs a) ~f:(fun m ->
       match plans.(m) with
       | None -> ()

@@ -1,6 +1,33 @@
+type stats = {
+  size : int;
+  capacity : int;
+  shards : int;
+  hits : int;
+  misses : int;
+  evictions : int;
+  insertions : int;
+}
+
+module type S = sig
+  type key
+  type 'v t
+
+  val create :
+    ?shards:int -> ?on_evict:(unit -> unit) -> capacity:int -> unit -> 'v t
+
+  val find_or_build : 'v t -> key -> build:(key -> 'v) -> 'v * bool
+  val set_capacity : 'v t -> int -> unit
+  val iter_keys : 'v t -> (key -> unit) -> unit
+  val size : 'v t -> int
+  val capacity : 'v t -> int
+  val clear : 'v t -> unit
+  val stats : 'v t -> stats
+end
+
 module Make (K : Hashtbl.HashedType) = struct
   module H = Hashtbl.Make (K)
 
+  type key = K.t
   type 'v slot = { value : 'v; mutable last_used : int }
 
   (* Accounting lives inside the shard, as plain fields guarded by the
@@ -12,41 +39,41 @@ module Make (K : Hashtbl.HashedType) = struct
   type 'v shard = {
     mutex : Mutex.t;
     table : 'v slot H.t;
+    mutable cap : int;  (* per-shard capacity; 0 disables caching *)
     mutable tick : int;
     mutable s_hits : int;
     mutable s_misses : int;
     mutable s_evictions : int;
     mutable s_insertions : int;
-    mutable s_removals : int;
   }
 
   type 'v t = {
     shard_arr : 'v shard array;
-    shard_cap : int;  (* per-shard capacity; 0 disables caching *)
-    total_cap : int;
+    mutable total_cap : int;
+    on_evict : unit -> unit;
   }
 
-  let create ?(shards = 16) ~capacity () =
+  let shard_cap ~shards capacity =
+    if capacity = 0 then 0 else (capacity + shards - 1) / shards
+
+  let create ?(shards = 16) ?(on_evict = ignore) ~capacity () =
     let shards = max 1 shards in
     let capacity = max 0 capacity in
-    let shard_cap =
-      if capacity = 0 then 0 else (capacity + shards - 1) / shards
-    in
     {
       shard_arr =
         Array.init shards (fun _ ->
             {
               mutex = Mutex.create ();
               table = H.create 64;
+              cap = shard_cap ~shards capacity;
               tick = 0;
               s_hits = 0;
               s_misses = 0;
               s_evictions = 0;
               s_insertions = 0;
-              s_removals = 0;
             });
-      shard_cap;
       total_cap = capacity;
+      on_evict;
     }
 
   let shard_of t key =
@@ -57,10 +84,10 @@ module Make (K : Hashtbl.HashedType) = struct
     let h = h lxor (h lsr 17) in
     t.shard_arr.(h mod Array.length t.shard_arr)
 
-  (* Callers hold [sh.mutex]. Same linear scan as the global caches:
-     capacities are small enough that a doubly-linked list would be
-     noise, and the scan runs at most once per insert. *)
-  let evict_down_to sh target =
+  (* Callers hold [sh.mutex]. A linear scan: capacities are small enough
+     that a doubly-linked list would be noise, and the scan runs at most
+     once per insert. *)
+  let evict_down_to t sh target =
     while H.length sh.table > target do
       let victim = ref None in
       H.iter
@@ -73,7 +100,8 @@ module Make (K : Hashtbl.HashedType) = struct
       | None -> ()
       | Some (key, _) ->
           H.remove sh.table key;
-          sh.s_evictions <- sh.s_evictions + 1
+          sh.s_evictions <- sh.s_evictions + 1;
+          t.on_evict ()
     done
 
   let find_or_build t key ~build =
@@ -90,43 +118,27 @@ module Make (K : Hashtbl.HashedType) = struct
         sh.s_misses <- sh.s_misses + 1;
         Mutex.unlock sh.mutex;
         let value = build key in
-        if t.shard_cap > 0 then begin
-          Mutex.lock sh.mutex;
-          if not (H.mem sh.table key) then begin
-            evict_down_to sh (t.shard_cap - 1);
-            sh.tick <- sh.tick + 1;
-            H.add sh.table key { value; last_used = sh.tick };
-            sh.s_insertions <- sh.s_insertions + 1
-          end;
-          Mutex.unlock sh.mutex
+        Mutex.lock sh.mutex;
+        if sh.cap > 0 && not (H.mem sh.table key) then begin
+          evict_down_to t sh (sh.cap - 1);
+          sh.tick <- sh.tick + 1;
+          H.add sh.table key { value; last_used = sh.tick };
+          sh.s_insertions <- sh.s_insertions + 1
         end;
+        Mutex.unlock sh.mutex;
         (value, false)
 
-  let find_opt t key =
-    let sh = shard_of t key in
-    Mutex.lock sh.mutex;
-    let found =
-      match H.find_opt sh.table key with
-      | Some slot ->
-          sh.tick <- sh.tick + 1;
-          slot.last_used <- sh.tick;
-          sh.s_hits <- sh.s_hits + 1;
-          Some slot.value
-      | None ->
-          sh.s_misses <- sh.s_misses + 1;
-          None
-    in
-    Mutex.unlock sh.mutex;
-    found
-
-  let remove t key =
-    let sh = shard_of t key in
-    Mutex.lock sh.mutex;
-    if H.mem sh.table key then begin
-      H.remove sh.table key;
-      sh.s_removals <- sh.s_removals + 1
-    end;
-    Mutex.unlock sh.mutex
+  let set_capacity t n =
+    let n = max 0 n in
+    let cap = shard_cap ~shards:(Array.length t.shard_arr) n in
+    t.total_cap <- n;
+    Array.iter
+      (fun sh ->
+        Mutex.lock sh.mutex;
+        sh.cap <- cap;
+        evict_down_to t sh cap;
+        Mutex.unlock sh.mutex)
+      t.shard_arr
 
   let iter_keys t f =
     Array.iter
@@ -153,7 +165,6 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let size t = sum_shards t (fun sh -> H.length sh.table)
   let capacity t = t.total_cap
-  let shards t = Array.length t.shard_arr
 
   let clear t =
     Array.iter
@@ -165,13 +176,17 @@ module Make (K : Hashtbl.HashedType) = struct
         sh.s_misses <- 0;
         sh.s_evictions <- 0;
         sh.s_insertions <- 0;
-        sh.s_removals <- 0;
         Mutex.unlock sh.mutex)
       t.shard_arr
 
-  let hits t = sum_shards t (fun sh -> sh.s_hits)
-  let misses t = sum_shards t (fun sh -> sh.s_misses)
-  let evictions t = sum_shards t (fun sh -> sh.s_evictions)
-  let insertions t = sum_shards t (fun sh -> sh.s_insertions)
-  let removals t = sum_shards t (fun sh -> sh.s_removals)
+  let stats t =
+    {
+      size = size t;
+      capacity = capacity t;
+      shards = Array.length t.shard_arr;
+      hits = sum_shards t (fun sh -> sh.s_hits);
+      misses = sum_shards t (fun sh -> sh.s_misses);
+      evictions = sum_shards t (fun sh -> sh.s_evictions);
+      insertions = sum_shards t (fun sh -> sh.s_insertions);
+    }
 end

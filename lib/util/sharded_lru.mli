@@ -1,67 +1,83 @@
-(** A sharded, mutex-per-shard LRU cache.
+(** The LRU cache: a hash table split into shards, each with its own
+    mutex, table and LRU clock.
 
-    The process-wide caches ({!Lams_core.Plan_cache}, the schedule
-    cache) serialize every lookup on one global mutex — fine for a
-    handful of SPMD domains, but the serving daemon answers queries from
-    many worker domains at once, and a single lock becomes the
-    bottleneck long before the hash lookup does. This functor shards the
-    key space by hash: each shard has its own mutex, hash table and LRU
-    clock, so lookups of different keys proceed in parallel and only
-    same-shard lookups ever contend.
+    It is the only LRU in the library, and it has four instances over
+    two canonical key kinds: the process-wide plan and schedule caches
+    ({!Lams_core.Plan_cache}, [Lams_sched.Cache]) are one-shard
+    instances, and the serving daemon's two stores are instances of the
+    same modules with as many shards as it is configured for.
 
-    Semantics per shard mirror the global caches: lookups bump a
-    monotonic tick, inserts evict the least-recently-used entry of
-    {e that shard} once the shard is at capacity, and builds happen
-    outside the lock (a racing double-build of one key is harmless —
-    both values are equal by construction and the first insert wins).
+    One shard keeps one global LRU order, which is what a small cache
+    under a skewed key population needs to hold its hit rate. More
+    shards let lookups of different keys proceed in parallel: the
+    daemon answers from many worker domains at once, and there a single
+    lock becomes the bottleneck long before the hash lookup does. Same-
+    shard lookups are the only ones that contend.
 
-    Accounting is exact and per-shard — plain fields guarded by the
+    Within a shard, lookups bump a monotonic tick, inserts evict the
+    least-recently-used entry of {e that shard} once the shard is at
+    capacity, and builds happen outside the lock (a racing double-build
+    of one key is harmless: both values are equal by construction and
+    the first insert wins).
+
+    Accounting is exact and per shard: plain fields guarded by the
     shard mutex, summed on read, never a shared atomic (one contended
     counter cache line on the hit path measurably undoes the sharding).
-    [hits + misses = lookups] and [insertions - evictions - removals =
-    size] at quiescence — the hammer tests pin both. *)
+    [hits + misses = lookups] and [insertions - evictions = size] at
+    quiescence; the hammer tests pin both. *)
 
-module Make (K : Hashtbl.HashedType) : sig
+type stats = {
+  size : int;
+  capacity : int;
+  shards : int;
+  hits : int;
+  misses : int;
+  evictions : int;
+  insertions : int;
+}
+(** A snapshot of one cache, summed over its shards. *)
+
+module type S = sig
+  type key
   type 'v t
 
-  val create : ?shards:int -> capacity:int -> unit -> 'v t
+  val create :
+    ?shards:int -> ?on_evict:(unit -> unit) -> capacity:int -> unit -> 'v t
   (** [create ~shards ~capacity ()] makes an empty cache of at most
       [capacity] entries spread over [shards] independent shards
       (default 16, clamped to [>= 1]; each shard holds at most
       [ceil (capacity / shards)], so the whole cache never exceeds
-      [shards * ceil (capacity / shards)] entries transiently and
-      [capacity <= 0] disables caching entirely). *)
+      [shards * ceil (capacity / shards)] entries and [capacity <= 0]
+      disables caching entirely). [on_evict] runs once per evicted
+      entry, under the shard lock; the library caches feed their
+      [*.evictions] counters through it. *)
 
-  val find_or_build : 'v t -> K.t -> build:(K.t -> 'v) -> 'v * bool
+  val find_or_build : 'v t -> key -> build:(key -> 'v) -> 'v * bool
   (** [find_or_build t key ~build] returns the cached value and [true]
       on a hit, or runs [build key] {e outside the shard lock}, inserts
       the result (unless a racer inserted first, or capacity is 0) and
       returns it with [false]. Exceptions from [build] propagate and
       leave the cache unchanged (the miss is still counted). *)
 
-  val find_opt : 'v t -> K.t -> 'v option
-  (** Hit-or-nothing lookup; bumps the LRU on a hit. Counts as a lookup
-      (hit or miss) like {!find_or_build}. *)
+  val set_capacity : 'v t -> int -> unit
+  (** Clamp to [>= 0] and spread over the shards as {!create} does. A
+      shrink evicts each shard's least recently used entries at once
+      (counted as evictions); [0] empties the cache and disables it. *)
 
-  val remove : 'v t -> K.t -> unit
-  (** Drop one key if present (counted under [removals], not
-      [evictions]). *)
-
-  val iter_keys : 'v t -> (K.t -> unit) -> unit
+  val iter_keys : 'v t -> (key -> unit) -> unit
   (** Visit every live key, shard by shard, most-recently-used first
       within a shard (the plan log's rotation compacts with this). [f]
       must not touch the cache. *)
 
   val size : 'v t -> int
   val capacity : 'v t -> int
-  val shards : 'v t -> int
+
   val clear : 'v t -> unit
+  (** Drop every entry (not counted as evictions), and reset each
+      shard's LRU clock and accounting: the eviction order after a
+      clear depends only on the lookups made since. *)
 
-  (** {2 Accounting} *)
-
-  val hits : 'v t -> int
-  val misses : 'v t -> int
-  val evictions : 'v t -> int
-  val insertions : 'v t -> int
-  val removals : 'v t -> int
+  val stats : 'v t -> stats
 end
+
+module Make (K : Hashtbl.HashedType) : S with type key = K.t

@@ -198,22 +198,98 @@ let set_capacity_evicts () =
   check_int "grow is free" 2 (Plan_cache.size ());
   check_int "grow evicts nothing" (before + 3) (evictions ())
 
+let counter name =
+  Option.value ~default:0
+    (Lams_obs.Obs.find_counter (Lams_obs.Obs.snapshot ()) name)
+
 let clear_resets_lru_clock () =
   let saved = Plan_cache.capacity () in
   Fun.protect ~finally:(fun () -> Plan_cache.set_capacity saved) @@ fun () ->
-  Plan_cache.set_capacity 8;
-  List.iter
-    (fun pr -> ignore (Plan_cache.find pr ~u:100 : Plan_cache.view))
-    (distinct_problems 3);
-  check_bool "clock advanced" true (Plan_cache.lru_tick () > 0);
+  with_obs @@ fun () ->
+  let a, b, c =
+    match distinct_problems 3 with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
+  in
+  let find pr = ignore (Plan_cache.find pr ~u:100 : Plan_cache.view) in
+  let hit pr =
+    let before = counter "plan_cache.hits" in
+    find pr;
+    counter "plan_cache.hits" > before
+  in
+  Plan_cache.set_capacity 2;
+  (* Before the clear, [a] is the most recently used. *)
+  find b;
+  find a;
+  find a;
   Plan_cache.clear ();
   check_int "empty" 0 (Plan_cache.size ());
-  check_int "clock reset" 0 (Plan_cache.lru_tick ());
-  (* Re-populating after a clear starts a fresh history: the first
-     re-insert observes tick 1, not a continuation of the old clock. *)
-  ignore (Plan_cache.find (List.hd (distinct_problems 1)) ~u:100
-           : Plan_cache.view);
-  check_int "fresh history" 1 (Plan_cache.lru_tick ())
+  (* Since the clear [a] is the least recently used, so inserting [c]
+     evicts it, whatever the history before the clear. *)
+  find a;
+  find b;
+  find c;
+  check_int "at capacity" 2 (Plan_cache.size ());
+  check_bool "b survives" true (hit b);
+  check_bool "a was evicted" false (hit a)
+
+(* Both library caches against a list model of one LRU: a most-recent-
+   first list of at most [cap] keys. Every lookup's hit or miss and the
+   eviction count must agree, which also pins that each cache is one
+   shard (a shard keeps its own recency and evicts within itself). *)
+let model_lookup ~cap lru key =
+  if List.mem key lru then (true, key :: List.filter (( <> ) key) lru, 0)
+  else if cap = 0 then (false, lru, 0)
+  else if List.length lru < cap then (false, key :: lru, 0)
+  else (false, key :: List.filteri (fun i _ -> i < cap - 1) lru, 1)
+
+let agrees_with_model ~prefix ~set_capacity ~clear ~lookup ~cap keys =
+  set_capacity cap;
+  clear ();
+  let evictions0 = counter (prefix ^ ".evictions") in
+  let lru = ref [] and model_evictions = ref 0 in
+  List.for_all
+    (fun key ->
+      let hits0 = counter (prefix ^ ".hits") in
+      lookup key;
+      let want, lru', ev = model_lookup ~cap !lru key in
+      lru := lru';
+      model_evictions := !model_evictions + ev;
+      want = (counter (prefix ^ ".hits") > hits0))
+    keys
+  && counter (prefix ^ ".evictions") - evictions0 = !model_evictions
+
+let lru_matches_model =
+  let plans = Array.of_list (distinct_problems 6) in
+  let sec = Lams_dist.Section.make ~lo:0 ~hi:29 ~stride:1 in
+  let src_layout = Lams_dist.Layout.create ~p:2 ~k:3 in
+  Tutil.qtest ~count:100 "LRU order: Plan_cache and Sched.Cache match a list model"
+    QCheck2.Gen.(pair (int_range 0 4) (list_size (int_range 1 40) (int_range 0 5)))
+    ~print:(fun (cap, keys) ->
+      Printf.sprintf "cap=%d keys=[%s]" cap
+        (String.concat ";" (List.map string_of_int keys)))
+    (fun (cap, keys) ->
+      let saved_plan = Plan_cache.capacity ()
+      and saved_sched = Lams_sched.Cache.capacity () in
+      Fun.protect
+        ~finally:(fun () ->
+          Plan_cache.set_capacity saved_plan;
+          Plan_cache.clear ();
+          Lams_sched.Cache.set_capacity saved_sched;
+          Lams_sched.Cache.clear ())
+      @@ fun () ->
+      with_obs @@ fun () ->
+      agrees_with_model ~prefix:"plan_cache" ~set_capacity:Plan_cache.set_capacity
+        ~clear:Plan_cache.clear ~cap keys ~lookup:(fun i ->
+          ignore (Plan_cache.find plans.(i) ~u:100 : Plan_cache.view))
+      && agrees_with_model ~prefix:"sched.cache"
+           ~set_capacity:Lams_sched.Cache.set_capacity
+           ~clear:Lams_sched.Cache.clear ~cap keys ~lookup:(fun i ->
+             ignore
+               (Lams_sched.Cache.find ~src_layout ~src_section:sec
+                  ~dst_layout:(Lams_dist.Layout.create ~p:2 ~k:(i + 1))
+                  ~dst_section:sec
+                 : Lams_sched.Schedule.t)))
 
 (* --- Spmd: deterministic fault surfacing -------------------------- *)
 
@@ -271,6 +347,7 @@ let suite =
       set_capacity_evicts;
     Alcotest.test_case "Plan_cache.clear resets the LRU clock" `Quick
       clear_resets_lru_clock;
+    lru_matches_model;
     Alcotest.test_case "Spmd pool: lowest failing rank wins" `Quick
       pool_lowest_rank_wins;
     Alcotest.test_case "Spmd pool: reusable after a fault" `Quick

@@ -351,17 +351,22 @@ let prop_plan_cached_equals_uncached =
       Printf.sprintf "%s m=%d u=%d" (Tutil.print_problem pksl) m u)
     (fun (pksl, m, u) ->
       let pr = Tutil.problem_of pksl in
-      match (Plan.build pr ~m ~u, Plan.build_uncached pr ~m ~u) with
-      | None, None -> true
-      | Some a, Some b ->
-          a.Plan.start_local = b.Plan.start_local
-          && a.Plan.last_local = b.Plan.last_local
-          && a.Plan.length = b.Plan.length
-          && a.Plan.delta_m = b.Plan.delta_m
-          && a.Plan.start_offset = b.Plan.start_offset
-          && shape_d_gaps a = shape_d_gaps b
-          && Plan.local_extent_needed a = Plan.local_extent_needed b
-      | _ -> false)
+      let want = Plan.build_uncached pr ~m ~u in
+      (* Both cached paths: one lookup per processor, one per statement. *)
+      List.for_all
+        (fun got ->
+          match (got, want) with
+          | None, None -> true
+          | Some a, Some b ->
+              a.Plan.start_local = b.Plan.start_local
+              && a.Plan.last_local = b.Plan.last_local
+              && a.Plan.length = b.Plan.length
+              && a.Plan.delta_m = b.Plan.delta_m
+              && a.Plan.start_offset = b.Plan.start_offset
+              && shape_d_gaps a = shape_d_gaps b
+              && Plan.local_extent_needed a = Plan.local_extent_needed b
+          | _ -> false)
+        [ Plan.build pr ~m ~u; (Plan.build_all pr ~u).(m) ])
 
 let suite =
   [ Alcotest.test_case "plan on the paper example" `Quick test_plan_paper;

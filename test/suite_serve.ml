@@ -308,13 +308,12 @@ module Int_lru = Lams_util.Sharded_lru.Make (struct
 end)
 
 let lru_invariants t ~lookups =
-  Tutil.check_int "hits + misses = lookups" lookups
-    (Int_lru.hits t + Int_lru.misses t);
-  Tutil.check_int "insertions - evictions - removals = size"
-    (Int_lru.size t)
-    (Int_lru.insertions t - Int_lru.evictions t - Int_lru.removals t);
+  let st = Int_lru.stats t in
+  Tutil.check_int "hits + misses = lookups" lookups (st.hits + st.misses);
+  Tutil.check_int "insertions - evictions = size" st.size
+    (st.insertions - st.evictions);
   Tutil.check_bool "size within capacity slack" true
-    (Int_lru.size t <= Int_lru.capacity t + Int_lru.shards t)
+    (st.size <= st.capacity + st.shards)
 
 let test_lru_accounting () =
   let t = Int_lru.create ~shards:2 ~capacity:4 () in
@@ -326,7 +325,7 @@ let test_lru_accounting () =
     Tutil.check_bool "cold lookup is a miss" false hit
   done;
   lru_invariants t ~lookups:10;
-  Tutil.check_bool "eviction happened" true (Int_lru.evictions t > 0);
+  Tutil.check_bool "eviction happened" true ((Int_lru.stats t).evictions > 0);
   (* Re-touch whatever survived: every lookup counted, hit or miss. *)
   let live = ref [] in
   Int_lru.iter_keys t (fun key -> live := key :: !live);
@@ -336,20 +335,10 @@ let test_lru_accounting () =
       Tutil.check_bool "live key hits" true hit)
     !live;
   lru_invariants t ~lookups:(10 + List.length !live);
-  (* remove is counted under removals, not evictions. *)
-  (match !live with
-  | key :: _ ->
-      let ev = Int_lru.evictions t in
-      Int_lru.remove t key;
-      Tutil.check_int "removals" 1 (Int_lru.removals t);
-      Tutil.check_int "evictions unchanged" ev (Int_lru.evictions t);
-      Tutil.check_bool "removed key gone" true
-        (Int_lru.find_opt t key = None)
-  | [] -> Alcotest.fail "cache unexpectedly empty");
   Int_lru.clear t;
   Tutil.check_int "clear empties" 0 (Int_lru.size t);
-  Tutil.check_int "clear resets accounting" 0
-    (Int_lru.hits t + Int_lru.misses t)
+  let st = Int_lru.stats t in
+  Tutil.check_int "clear resets accounting" 0 (st.hits + st.misses)
 
 let test_lru_zero_capacity () =
   let t = Int_lru.create ~capacity:0 () in
@@ -359,7 +348,45 @@ let test_lru_zero_capacity () =
     Tutil.check_bool "never cached" false hit
   done;
   Tutil.check_int "size stays 0" 0 (Int_lru.size t);
-  Tutil.check_int "no insertions" 0 (Int_lru.insertions t)
+  Tutil.check_int "no insertions" 0 (Int_lru.stats t).insertions
+
+(* set_capacity at 1 and 4 shards: a shrink evicts each shard's least
+   recently used entries at once and counts them, a grow evicts
+   nothing, and 0 disables caching. *)
+let test_lru_set_capacity () =
+  List.iter
+    (fun shards ->
+      (* 16 slots per shard at 4 shards: the 12 keys fit however they
+         hash. *)
+      let t = Int_lru.create ~shards ~capacity:64 () in
+      let touch key = snd (Int_lru.find_or_build t key ~build:Fun.id) in
+      for key = 0 to 11 do
+        ignore (touch key)
+      done;
+      Tutil.check_bool "re-touch hits" true (touch 0);
+      Tutil.check_int "populated" 12 (Int_lru.size t);
+      Int_lru.set_capacity t 4;
+      let st = Int_lru.stats t in
+      Tutil.check_bool "shrink evicts at once" true (st.size <= 4);
+      Tutil.check_int "every eviction counted" (12 - st.size) st.evictions;
+      let live = ref [] in
+      Int_lru.iter_keys t (fun key -> live := key :: !live);
+      if shards = 1 then
+        Tutil.check_int_list "the four most recently used survive"
+          [ 0; 11; 10; 9 ] (List.rev !live)
+      else
+        Tutil.check_bool "the most recently used survives" true
+          (List.mem 0 !live);
+      Int_lru.set_capacity t 64;
+      Tutil.check_int "grow keeps every entry" st.size (Int_lru.size t);
+      Tutil.check_int "grow evicts nothing" st.evictions
+        (Int_lru.stats t).evictions;
+      Int_lru.set_capacity t 0;
+      Tutil.check_int "0 empties" 0 (Int_lru.size t);
+      Tutil.check_int "all evictions counted" 12 (Int_lru.stats t).evictions;
+      Tutil.check_bool "0 disables caching" false (touch 0 || touch 0);
+      Tutil.check_int "nothing cached" 0 (Int_lru.size t))
+    [ 1; 4 ]
 
 (* The hammer: several domains pound one Plan_store over a mixed
    hot/cold key population small enough to force evictions, then the
@@ -389,11 +416,11 @@ let test_store_hammer () =
   let ds = Array.init domains (fun d -> Domain.spawn (work d)) in
   Array.iter Domain.join ds;
   Tutil.check_int "no invalid keys" 0 (Atomic.get errors);
-  let st = Store.Plan_store.stats store in
+  let st = Lams_core.Plan_cache.Lru.stats store in
   Tutil.check_int "hits + misses = lookups" (domains * per_domain)
     (st.hits + st.misses);
-  Tutil.check_int "insertions - evictions - removals = size" st.size
-    (st.insertions - st.evictions - st.removals);
+  Tutil.check_int "insertions - evictions = size" st.size
+    (st.insertions - st.evictions);
   Tutil.check_bool "evictions under pressure" true (st.evictions > 0);
   (* Oracle check on a sample of the population, through the public
      find (canonicalize + rebase), against the seed-path build. *)
@@ -496,7 +523,7 @@ let with_temp_file f =
 
 let plan_key ~p ~k ~s ~l ~u =
   let pr = Problem.make ~p ~k ~l ~s in
-  let key, _, _ = Store.Plan_store.canonical_key pr ~u in
+  let key, _, _ = Lams_core.Plan_cache.canonical_key pr ~u in
   key
 
 let test_plan_log_roundtrip () =
@@ -671,6 +698,33 @@ let test_server_e2e () =
       let ctr = Server.counters t in
       Tutil.check_bool "connection counted" true (ctr.connections >= 1);
       Tutil.check_int "no protocol errors" 0 ctr.protocol_errors)
+
+(* Requests whose build would stall the worker that owns the
+   connection are refused before any work: p·k past [max_work] (a plan,
+   a schedule side), a schedule count past [max_count], and a count that
+   wraps. The same connection is then served. *)
+let test_server_work_caps () =
+  with_server ~cfg:small_cfg (fun _ addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let refused what = function
+            | Wire.Error (Wire.E_invalid_request, _) -> ()
+            | r -> Alcotest.failf "%s: %a" what Wire.pp_response r
+          in
+          refused "plan p*k"
+            (Client.plan c
+               { Wire.p = 16; k = (Store.max_work / 16) + 1; s = 3; l = 0; u = 100 });
+          refused "schedule side p*k"
+            (Client.schedule c
+               { sched_req_60 with dst_p = 4096; dst_k = (Store.max_work / 4096) + 1 });
+          refused "schedule count"
+            (Client.schedule c
+               { sched_req_60 with src_hi = Store.max_count; dst_hi = Store.max_count });
+          refused "wrapped count"
+            (Client.redist c { sched_req_60 with src_hi = max_int; dst_hi = max_int });
+          match Client.plan c { Wire.p = 4; k = 8; s = 9; l = 4; u = 400 } with
+          | Wire.Plan_digest _ -> ()
+          | r -> Alcotest.failf "then served: %a" Wire.pp_response r))
 
 let test_server_protocol_error () =
   with_server ~cfg:small_cfg (fun t addr ->
@@ -1089,12 +1143,14 @@ let suite =
     prop_group_by;
     ("sharded LRU accounting", `Quick, test_lru_accounting);
     ("sharded LRU zero capacity", `Quick, test_lru_zero_capacity);
+    ("sharded LRU set_capacity", `Quick, test_lru_set_capacity);
     ("plan store hammer", `Slow, test_store_hammer);
     ("digest rebase", `Quick, test_digest_rebase);
     ("zipf sampler", `Quick, test_zipf);
     ("plan log roundtrip", `Quick, test_plan_log_roundtrip);
     ("plan log rotation", `Quick, test_plan_log_rotate);
     ("server end-to-end", `Quick, test_server_e2e);
+    ("server work caps", `Quick, test_server_work_caps);
     ("server protocol error", `Quick, test_server_protocol_error);
     ("server load shedding", `Quick, test_server_shedding);
     ("server warm restart", `Quick, test_server_warm_restart);
