@@ -39,8 +39,10 @@ fuzz-quick:
 
 # Data-plane smoke: blit vs element-at-a-time packing at reduced size;
 # the bench itself asserts the steady-state pool contract (hits =
-# transfers, zero misses after warm-up) and spot-checks the delivered
-# contents, so a broken blit path fails the build, not just the numbers.
+# transfers, zero misses after warm-up), that congruent sides move
+# through the group kernels (sched.pack.grouped > 0 on every row), and
+# spot-checks the delivered contents, so a broken blit path fails the
+# build, not just the numbers.
 bench-dataplane-quick:
 	dune build @dataplane
 

@@ -17,7 +17,9 @@
    block is one element). Each config also verifies the steady-state pool
    contract — after a warm-up exchange, one run's [sched.pool.hits]
    advances by exactly the transfer count and [sched.pool.misses] by
-   zero — and spot-checks the delivered contents. *)
+   zero — checks that congruent sides went through the group kernels
+   ([sched.pack.grouped] > 0 on that run), and spot-checks the delivered
+   contents. *)
 
 open Lams_util
 open Lams_sim
@@ -57,6 +59,9 @@ type row = {
   element_us : float;
   pool_hits : int;
   pool_misses : int;
+  grouped : int;
+      (** sides moved by a congruent-group kernel on the pool-contract
+          exchange *)
 }
 
 let bytes_per_sec bytes us = float_of_int bytes /. (us *. 1e-6)
@@ -134,6 +139,7 @@ let case_row ~quick ~p ~n regime =
   let delta name = pool_counter after name - pool_counter before name in
   let pool_hits = delta "sched.pool.hits" in
   let pool_misses = delta "sched.pool.misses" in
+  let grouped = delta "sched.pack.grouped" in
   let transfers = transfer_count sched in
   if pool_hits <> transfers || pool_misses <> 0 then
     failwith
@@ -141,6 +147,15 @@ let case_row ~quick ~p ~n regime =
          "dataplane: steady-state pool broken: %d hits / %d misses for %d \
           transfers"
          pool_hits pool_misses transfers);
+  (* Every regime is a cyclic(k) -> cyclic(k') remap with one block size
+     dividing the other, so each source's sides to the destinations one
+     of its blocks feeds are congruent plain runs (and so are each
+     destination's, in the scatter regime): the group kernels must have
+     moved some of them. *)
+  if grouped = 0 then
+    failwith
+      (Printf.sprintf "dataplane %s p=%d n=%d: no side moved by a group kernel"
+         (regime_name regime) p n);
   spot_check ~what:"warm blit" dst ~n;
   (* The adjacent comparison: same schedule, arrays and fabric. One
      repetition at the top size — a 1.6 GB exchange does not jitter
@@ -163,7 +178,7 @@ let case_row ~quick ~p ~n regime =
   { p; n; regime; k_src; k_dst; transfers;
     rounds = Sched.Schedule.rounds_count sched;
     moved_bytes = sched.Sched.Schedule.total * Network.bytes_per_element;
-    blit_us; element_us; pool_hits; pool_misses }
+    blit_us; element_us; pool_hits; pool_misses; grouped }
 
 let json_of ~quick rows =
   let b = Buffer.create 1024 in
@@ -180,13 +195,13 @@ let json_of ~quick rows =
             \"moved_bytes\": %d, \"blit_us\": %.3f, \"element_us\": %.3f, \
             \"speedup\": %.2f, \"blit_bytes_per_sec\": %.0f, \
             \"element_bytes_per_sec\": %.0f, \"pool_hits\": %d, \
-            \"pool_misses\": %d}%s\n"
+            \"pool_misses\": %d, \"grouped\": %d}%s\n"
            r.p r.n (regime_name r.regime) r.k_src r.k_dst r.transfers
            r.rounds r.moved_bytes r.blit_us r.element_us
            (r.element_us /. r.blit_us)
            (bytes_per_sec r.moved_bytes r.blit_us)
            (bytes_per_sec r.moved_bytes r.element_us)
-           r.pool_hits r.pool_misses
+           r.pool_hits r.pool_misses r.grouped
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string b "  ]\n}\n";
@@ -210,8 +225,8 @@ let run ?(quick = false) ?json () =
     "=== Data plane: blit packing vs element-at-a-time on one executor ===";
   let t =
     Ascii_table.create
-      [ "p"; "regime"; "n"; "k->k'"; "transfers"; "blit us"; "element us";
-        "speedup"; "blit GB/s" ]
+      [ "p"; "regime"; "n"; "k->k'"; "transfers"; "grouped"; "blit us";
+        "element us"; "speedup"; "blit GB/s" ]
   in
   List.iter
     (fun r ->
@@ -221,6 +236,7 @@ let run ?(quick = false) ?json () =
           string_of_int r.n;
           Printf.sprintf "%d->%d" r.k_src r.k_dst;
           string_of_int r.transfers;
+          string_of_int r.grouped;
           Printf.sprintf "%.1f" r.blit_us;
           Printf.sprintf "%.1f" r.element_us;
           Printf.sprintf "%.2fx" (r.element_us /. r.blit_us);
@@ -230,7 +246,8 @@ let run ?(quick = false) ?json () =
   print_string (Ascii_table.render t);
   print_endline
     "(same schedule, arrays and fabric per row; pool contract verified on\n\
-     an untimed run: hits = transfer count, misses = 0 after warm-up)";
+     an untimed run: hits = transfer count, misses = 0 after warm-up;\n\
+     grouped = sides moved by a group kernel on that run, asserted > 0)";
   match json with
   | None -> ()
   | Some file ->

@@ -3,9 +3,11 @@
    1. Cache contention: 8 domains hammering a fixed hot key set through
       (a) the process-global Plan_cache, whose "global-mutex" row now
       measures a one-shard Sharded_lru (one mutex around every lookup),
-      (b) the daemon's sharded store pinned to one shard (the same LRU
-      with the daemon's digests on top), and (c) the sharded store with
-      16 shards. Every lookup is a hit after warm-up, so the critical
+      (b) the daemon's sharded store pinned to one shard, and (c) the
+      sharded store with 16 shards. The store rows time what the daemon
+      does for a hit: canonical key, [find_key] and the [digest] rebased
+      to the requester (store values hold digests only, no plan). Every
+      lookup is a hit after warm-up, so the critical
       section *is* the workload and the mutex is the bottleneck — this
       isolates exactly what sharding buys the serve path. A 1-domain row
       is measured alongside to separate per-op cost from contention.
@@ -105,10 +107,15 @@ let contention ~quick =
     let v = Plan_cache.find pr ~u in
     (Plan_cache.table v ~m:0).Lams_core.Access_table.length
   in
+  (* What the daemon does for a hit: canonical key, lookup, digest
+     rebased to the requester's position. A nonzero shift allocates the
+     rebased p-entry digest, as the daemon's answer does. *)
   let sharded_lookup store i =
     let pr, u = problems.(i) in
-    let v, _hit = Store.Plan_store.find store pr ~u in
-    (Plan_cache.table v ~m:0).Lams_core.Access_table.length
+    let key, _, local_shift = Plan_cache.canonical_key pr ~u in
+    let v, hit = Store.Plan_store.find_key store key in
+    (Store.Plan_store.digest v ~local_shift ~hit).Lams_serve.Wire.procs.(0)
+      .length
   in
   let store1 = Store.Plan_store.create ~shards:1 ~capacity:1024 () in
   let store16 = Store.Plan_store.create ~shards:16 ~capacity:1024 () in

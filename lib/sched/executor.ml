@@ -46,7 +46,10 @@ let run_counter = Atomic.make 1
    in round order: each processor's writes run back to back in its own
    memory instead of interleaving with every other processor's round
    by round, and [Schedule.validate]'s exactly-once delivery makes the
-   order within a processor free.
+   order within a processor free. Each pack and unpack phase is one
+   {!Pack.pack_sides} / {!Pack.unpack_sides} call, which moves a
+   congruent group of the processor's sides in one block-interleaved
+   pass.
 
    On a faulty fabric the rounds run through the {!Reliable} protocol
    instead (sequence numbers, checksums, ack/retransmit); crashed ranks
@@ -95,10 +98,18 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
   in
   let budget = if respawns > 0 then Some (Spmd.respawn_budget respawns) else None in
   let run_phase f = Spmd.run_protected ?budget ~parallel ~p f in
-  let pack_side, unpack_side =
+  let pack_sides, unpack_sides =
     match packing with
-    | Blit -> (Pack.pack, Pack.unpack)
-    | Elementwise -> (Pack.pack_elementwise, Pack.unpack_elementwise)
+    | Blit -> (Pack.pack_sides, Pack.unpack_sides)
+    | Elementwise ->
+        ( (fun sides ~data ~bufs ->
+            Array.iteri
+              (fun i side -> Pack.pack_elementwise side ~data ~buf:bufs.(i))
+              sides),
+          fun sides ~bufs ~data ->
+            Array.iteri
+              (fun i side -> Pack.unpack_elementwise side ~buf:bufs.(i) ~data)
+              sides )
   in
   let locals = Array.of_list sched.Schedule.locals in
   let rounds = Array.of_list (List.map Array.of_list sched.Schedule.rounds) in
@@ -116,49 +127,56 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
     Array.iter (Array.iter Pool.release) round_bufs
   in
   Fun.protect ~finally:release_bufs @@ fun () ->
-  (* The per-processor index, built once: each source's (transfer,
-     buffer) pairs in schedule order (locals, then rounds), each
-     processor's self-transfers, and per round the slot of each
-     processor's one send and one receive (-1: none). *)
-  let outgoing = Array.make p [] and self = Array.make p [] in
+  (* The per-processor index, built once. Rank [m]'s pack phase moves
+     [out_sides.(m)] into [out_bufs.(m)], in schedule order (locals,
+     then rounds); its unpack phase moves [in_bufs.(m)] into
+     [in_sides.(m)]: its self-transfers, then on the plain path its
+     receives in round order, whose buffers the drain files from
+     [in_next.(m)] on. Per round, the slot of each processor's one send
+     and one receive (-1: none). *)
+  let plain = Option.is_none rel in
+  let out_sides = Array.make p [] and out_bufs = Array.make p [] in
+  let in_sides = Array.make p [] and in_bufs = Array.make p [] in
+  let push a m x = a.(m) <- x :: a.(m) in
   let slots () = Array.map (fun _ -> Array.make p (-1)) rounds in
   let send_slot = slots () and recv_slot = slots () in
   for r = Array.length rounds - 1 downto 0 do
     for i = Array.length rounds.(r) - 1 downto 0 do
       let tr = rounds.(r).(i) in
-      let s = tr.Schedule.src_proc in
-      outgoing.(s) <- (tr, round_bufs.(r).(i)) :: outgoing.(s);
+      let s = tr.Schedule.src_proc and d = tr.Schedule.dst_proc in
+      push out_sides s tr.Schedule.src_side;
+      push out_bufs s round_bufs.(r).(i);
+      if plain then begin
+        push in_sides d tr.Schedule.dst_side;
+        push in_bufs d Lams_util.Fbuf.empty
+      end;
       send_slot.(r).(s) <- i;
-      recv_slot.(r).(tr.Schedule.dst_proc) <- i
+      recv_slot.(r).(d) <- i
     done
   done;
+  let in_next = Array.make p 0 in
   for i = Array.length locals - 1 downto 0 do
     let tr = locals.(i) and buf = local_bufs.(i) in
     let m = tr.Schedule.src_proc in
-    outgoing.(m) <- (tr, buf) :: outgoing.(m);
-    self.(m) <- (tr.Schedule.dst_side, buf) :: self.(m)
+    push out_sides m tr.Schedule.src_side;
+    push out_bufs m buf;
+    push in_sides m tr.Schedule.dst_side;
+    push in_bufs m buf;
+    in_next.(m) <- in_next.(m) + 1
   done;
+  let arrays a = Array.map Array.of_list a in
+  let out_sides = arrays out_sides and out_bufs = arrays out_bufs in
+  let in_sides = arrays in_sides and in_bufs = arrays in_bufs in
   let pack_phase m =
-    match outgoing.(m) with
-    | [] -> ()
-    | out ->
-        let data = Local_store.data (Darray.local src m) in
-        List.iter
-          (fun ((tr : Schedule.transfer), buf) ->
-            pack_side tr.Schedule.src_side ~data ~buf)
-          out
+    if Array.length out_sides.(m) > 0 then
+      pack_sides out_sides.(m)
+        ~data:(Local_store.data (Darray.local src m))
+        ~bufs:out_bufs.(m)
   in
-  (* [received.(m)]: rank [m]'s drained payloads, newest round first.
-     Only rank [m]'s own phases touch its slot. *)
-  let received = Array.make p [] in
   let unpack_phase m =
-    match (self.(m), received.(m)) with
-    | [], [] -> ()
-    | mine, got ->
-        let data = Local_store.data (Darray.local dst m) in
-        let unpack (side, buf) = unpack_side side ~buf ~data in
-        List.iter unpack mine;
-        List.iter unpack (List.rev got)
+    if Array.length in_sides.(m) > 0 then
+      unpack_sides in_sides.(m) ~bufs:in_bufs.(m)
+        ~data:(Local_store.data (Darray.local dst m))
   in
   run_phase pack_phase;
   (match rel with
@@ -179,16 +197,12 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
       in
       let recv_phase r m =
         let i = recv_slot.(r).(m) in
-        if i >= 0 then begin
-          let tr = rounds.(r).(i) in
-          List.iter
-            (fun (msg : Network.message) ->
-              if msg.Network.src <> tr.Schedule.src_proc then
-                invalid_arg "Executor.run: unscheduled message in round";
-              received.(m) <-
-                (tr.Schedule.dst_side, msg.Network.payload) :: received.(m))
-            (Network.receive_all net ~dst:m)
-        end
+        if i >= 0 then
+          match Network.receive_all net ~dst:m with
+          | [ msg ] when msg.Network.src = rounds.(r).(i).Schedule.src_proc ->
+              in_bufs.(m).(in_next.(m)) <- msg.Network.payload;
+              in_next.(m) <- in_next.(m) + 1
+          | _ -> invalid_arg "Executor.run: unscheduled message in round"
       in
       (try
          for r = 0 to Array.length rounds - 1 do

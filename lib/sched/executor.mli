@@ -10,7 +10,9 @@
     received payload under its receiver. After the last round one
     unpack phase has each destination scatter its self-transfers
     (which never touch the network), then its received messages in
-    round order. A round's transfers are contention-free, so every
+    round order. Each of these phases is one {!Pack.pack_sides} or
+    {!Pack.unpack_sides} call, so a processor's congruent sides move in
+    one block-interleaved pass over its store. A round's transfers are contention-free, so every
     mailbox sees at most one message per round
     ({!Lams_sim.Network.max_congestion} stays at 1) and phase order is
     the only synchronization needed. Messages are packed: sent with

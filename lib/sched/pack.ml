@@ -446,6 +446,55 @@ let unpack side ~buf ~data =
   check_runs "Pack.unpack" side ~data ~buf;
   Fbuf.unsafe_scatter_runs side.runs buf data
 
+let c_grouped =
+  Lams_obs.Obs.counter "sched.pack.grouped" ~units:"sides"
+    ~doc:"pack and unpack sides moved by a congruent-group kernel"
+
+(* Whether runs [r] are one plain ascending run (no repeat, step +1):
+   the only sides a group takes. *)
+let plain r = Array.length r = run_width && r.(3) = 1
+
+(* Whether plain runs [r] have [r0]'s block length, count and local
+   stride. *)
+let congruent r0 r = r.(2) = r0.(2) && r.(4) = r0.(4) && r.(5) = r0.(5)
+
+(* One processor's phase: [sides.(i)] through [bufs.(i)], every side
+   checked before anything moves. Then, left to right, a stretch of two
+   or more adjacent plain sides congruent with its first is one group
+   call; any other side is its own run-kernel call. The group test is
+   integer compares on the run records; only a group allocates, the
+   two arrays its call takes. *)
+let move_sides ~gather sides ~bufs ~data =
+  let name = if gather then "Pack.pack" else "Pack.unpack" in
+  let n = Array.length sides in
+  if Array.length bufs <> n then invalid_arg name;
+  for i = 0 to n - 1 do
+    check_runs name sides.(i) ~data ~buf:bufs.(i)
+  done;
+  let i = ref 0 in
+  while !i < n do
+    let first = !i and r0 = sides.(!i).runs in
+    incr i;
+    if plain r0 then
+      while !i < n && plain sides.(!i).runs && congruent r0 sides.(!i).runs do
+        incr i
+      done;
+    let size = !i - first in
+    if size = 1 then
+      if gather then Fbuf.unsafe_gather_runs r0 data bufs.(first)
+      else Fbuf.unsafe_scatter_runs r0 bufs.(first) data
+    else begin
+      let runs = Array.init size (fun s -> sides.(first + s).runs)
+      and bufs = Array.sub bufs first size in
+      if gather then Fbuf.unsafe_gather_group runs data bufs
+      else Fbuf.unsafe_scatter_group runs bufs data;
+      Lams_obs.Obs.add c_grouped size
+    end
+  done
+
+let pack_sides sides ~data ~bufs = move_sides ~gather:true sides ~bufs ~data
+let unpack_sides sides ~bufs ~data = move_sides ~gather:false sides ~bufs ~data
+
 (* [f ~buf_pos ~start_local ~length ~step] on every block, in buffer
    order. *)
 let iter_blocks side f =

@@ -121,6 +121,36 @@ val unpack : side -> buf:Lams_util.Fbuf.t -> data:Lams_util.Fbuf.t -> unit
     @raise Invalid_argument ["Pack.unpack"] if a run escapes either
     buffer. *)
 
+val pack_sides :
+  side array -> data:Lams_util.Fbuf.t -> bufs:Lams_util.Fbuf.t array -> unit
+(** One source's whole pack phase: [sides.(i)] is packed into
+    [bufs.(i)] for every [i]. Every side is checked as {!pack} checks
+    it before anything is copied. Then the sides are moved left to
+    right, and a stretch of two or more adjacent sides that are each
+    one plain run (no repeat, [step = +1]) with the first one's block
+    length, count and local stride is a {e congruent group}, moved by
+    one {!Lams_util.Fbuf.unsafe_gather_group} call: block [j] of every
+    side before block [j + 1] of any. When the sides' starts lie within
+    one stride — a cyclic(1) source's sides towards a cyclic(64)
+    machine, for one — that reads [data] once, in increasing address
+    order, instead of once per side. Every other side (several runs, a
+    repeat, [step = -1], a side alone) is moved by the per-side kernel
+    as in {!pack}. The group test compares integers on the run records
+    and allocates nothing; each group counts its sides in
+    [sched.pack.grouped]. The order of the copies is free: they read one
+    store and each writes its own buffer.
+    @raise Invalid_argument ["Pack.pack"] if the arrays differ in length
+    or a side escapes [data] or its buffer (nothing is copied then). *)
+
+val unpack_sides :
+  side array -> bufs:Lams_util.Fbuf.t array -> data:Lams_util.Fbuf.t -> unit
+(** One destination's whole unpack phase, the inverse of {!pack_sides}
+    with the same checks and groups ({!Lams_util.Fbuf.unsafe_scatter_group}).
+    The order is free when the sides write disjoint local addresses, as
+    a validated schedule's destination sides do (exactly-once delivery).
+    @raise Invalid_argument ["Pack.unpack"] if the arrays differ in
+    length or a side escapes either buffer (nothing is copied then). *)
+
 val pack_elementwise :
   side -> data:Lams_util.Fbuf.t -> buf:Lams_util.Fbuf.t -> unit
 (** Element-at-a-time {!pack} on the same buffers — the pre-blit data

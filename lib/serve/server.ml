@@ -568,19 +568,42 @@ let refuse_pending t =
           close_fd fd);
       take_reserve t
 
-let rec listener_loop t =
-  if not (Atomic.get t.stopping) then begin
-    (match Unix.select [ t.listen_fd ] [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept t.listen_fd with
-        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-            refuse_pending t
-        | exception Unix.Unix_error _ -> ()
-        | fd, _ -> hand_off t fd));
-    listener_loop t
-  end
+(* The listen backlog, which also caps the drain at [stop]. *)
+let backlog = 128
+
+(* Polls the listening socket and hands each client to a worker. Once
+   [stopping] is set it drains instead: clients that connected before
+   the flag still sit in the accept backlog, and closing the listening
+   socket would reset them. It polls without waiting (zero timeout,
+   non-blocking socket) and hands each pending client to a worker,
+   which sheds and closes it like any other connection, until nothing
+   is pending. The drain makes at most [backlog] tries, so clients that
+   keep arriving cannot hold [stop] up, and gives the rest up when no
+   descriptor is free and no reserve is left. *)
+let listener_loop t =
+  let rec loop ~drained =
+    let stopping = Atomic.get t.stopping in
+    if stopping && drained = 0 then Unix.set_nonblock t.listen_fd;
+    if stopping && drained >= backlog then ()
+    else
+      let next = if stopping then drained + 1 else drained
+      and timeout = if stopping then 0. else 0.25 in
+      match Unix.select [ t.listen_fd ] [] [] timeout with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ~drained:next
+      | [], _, _ -> if not stopping then loop ~drained
+      | _ -> (
+          match Unix.accept t.listen_fd with
+          | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+              if not (stopping && Option.is_none t.reserve) then begin
+                refuse_pending t;
+                loop ~drained:next
+              end
+          | exception Unix.Unix_error _ -> loop ~drained:next
+          | fd, _ ->
+              hand_off t fd;
+              loop ~drained:next)
+  in
+  loop ~drained:0
 
 let bind_address addr =
   match addr with
@@ -588,7 +611,7 @@ let bind_address addr =
       (try Unix.unlink path with Unix.Unix_error _ -> ());
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 128;
+      Unix.listen fd backlog;
       fd
   | `Tcp (host, port) ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -601,7 +624,7 @@ let bind_address addr =
       | e ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           raise e);
-      Unix.listen fd 128;
+      Unix.listen fd backlog;
       fd
 
 let new_worker () =

@@ -31,11 +31,14 @@
     back, so a full descriptor table refuses clients instead of leaving
     them pending while the listener retries in a loop.
 
-    {b Stop.} [stop] stops the listener, then has each worker answer
-    what it has read, read every connection once more and answer each
-    whole frame there [Overloaded], write what it owes (waiting at most
-    half a second for slow peers) and close its connections; the plan
-    log is flushed last. Every request the daemon has read is answered,
+    {b Stop.} [stop] stops the listener, which first accepts the
+    clients still in the accept backlog, without waiting and in at most
+    as many tries as the backlog holds (128), and hands them to the
+    workers (closing the listening socket would reset them). Then it
+    has each worker answer what it has read, read every connection once
+    more and answer each whole frame there [Overloaded], write what it
+    owes (waiting at most half a second for slow peers) and close its
+    connections; the plan log is flushed last. Every request the daemon has read is answered,
     and a SIGTERM never loses a logged key. *)
 
 type config = {

@@ -20,7 +20,7 @@ let work_msg ~p ~k =
 
 module Plan_store = struct
   type key = Plan_cache.key
-  type value = { entry : Plan_cache.entry; digests : Wire.proc_digest array }
+  type value = Wire.proc_digest array
   type t = value Plan_cache.Lru.t
 
   let create ?shards ~capacity () = Plan_cache.Lru.create ?shards ~capacity ()
@@ -77,20 +77,19 @@ module Plan_store = struct
           table_hash = h;
         }
 
+  (* The digests are all the daemon answers from, so the entry's gap
+     tables and FSMs are dropped once hashed: a value is O(p). *)
   let build_value (key : key) =
     let pr0 = Problem.make ~p:key.p ~k:key.k ~l:key.l ~s:key.s in
     let entry = Plan_cache.build_entry pr0 ~u:key.u in
     let view = Plan_cache.view_of_entry entry ~g_shift:0 ~local_shift:0 in
-    let digests =
-      Array.init key.p (fun m -> proc_digest pr0 ~u0:key.u view ~m)
-    in
-    { entry; digests }
+    Array.init key.p (fun m -> proc_digest pr0 ~u0:key.u view ~m)
 
   let find_key t key = Plan_cache.Lru.find_or_build t key ~build:build_value
 
   let digest v ~local_shift ~hit =
     let procs =
-      if local_shift = 0 then v.digests
+      if local_shift = 0 then v
       else
         Array.map
           (fun (d : Wire.proc_digest) ->
@@ -101,14 +100,9 @@ module Plan_store = struct
                 last_local = d.last_local + local_shift;
               }
             else d)
-          v.digests
+          v
     in
     { Wire.plan_hit = hit; procs }
-
-  let find t pr ~u =
-    let key, g_shift, local_shift = Plan_cache.canonical_key pr ~u in
-    let v, hit = find_key t key in
-    (Plan_cache.view_of_entry v.entry ~g_shift ~local_shift, hit)
 end
 
 module Sched_store = struct

@@ -43,12 +43,9 @@ module Plan_store : sig
       cache. *)
 
   val digest : value -> local_shift:int -> hit:bool -> Wire.plan_digest
-  (** The wire digest rebased to the requester's section position. *)
-
-  val find : t -> Lams_core.Problem.t -> u:int -> Lams_core.Plan_cache.view * bool
-  (** Canonicalize, look up and rebase: the underlying whole-machine
-      plan, which the hammer test diffs against
-      {!Lams_codegen.Plan.build_uncached}. *)
+  (** The wire digest rebased to the requester's section position. A
+      value holds the [p] processor digests only, not the plan they
+      were hashed from. *)
 end
 
 module Sched_store : sig

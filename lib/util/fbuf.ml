@@ -11,6 +11,12 @@ external unsafe_gather_runs : int array -> t -> t -> unit
 external unsafe_scatter_runs : int array -> t -> t -> unit
   = "lams_fbuf_scatter_runs" [@@noalloc]
 
+external unsafe_gather_group : int array array -> t -> t array -> unit
+  = "lams_fbuf_gather_group" [@@noalloc]
+
+external unsafe_scatter_group : int array array -> t array -> t -> unit
+  = "lams_fbuf_scatter_group" [@@noalloc]
+
 let create n = Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout n (fun _ -> 0.)
 
 let uninit n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n

@@ -55,6 +55,26 @@ external unsafe_scatter_runs : int array -> t -> t -> unit
     packed [buf] back into [data]. Unchecked, like
     {!unsafe_gather_runs}. *)
 
+external unsafe_gather_group : int array array -> t -> t array -> unit
+  = "lams_fbuf_gather_group" [@@noalloc]
+(** [unsafe_gather_group runs data bufs] packs a {e congruent group} of
+    sides in one C call: [runs.(s)] is side [s]'s one plain run
+    ([buf_pos; start_local; length; +1; count; local_stride], no
+    repeat), every run has the first one's [length], [count] and
+    [local_stride], and side [s] fills [bufs.(s)]. Block [j] of every
+    side is copied before block [j + 1] of any, so sides whose starts
+    lie within one stride are read in one increasing sweep of [data]
+    (a group of more than 32 sides is moved 32 sides at a time).
+    {b Unchecked}, like {!unsafe_gather_runs}: every run must fit its
+    buffer and [data], the arrays must have equal lengths, and no
+    buffer may overlap [data]. *)
+
+external unsafe_scatter_group : int array array -> t array -> t -> unit
+  = "lams_fbuf_scatter_group" [@@noalloc]
+(** [unsafe_scatter_group runs bufs data] is the inverse copy, from
+    each [bufs.(s)] back into [data], block-interleaved in the same
+    order. Unchecked, like {!unsafe_gather_group}. *)
+
 val sub : t -> pos:int -> len:int -> t
 (** [sub t ~pos ~len] is a zero-copy view of [pos, pos + len): writes
     through the view land in [t]. Views share storage with their parent,

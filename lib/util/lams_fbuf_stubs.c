@@ -139,3 +139,94 @@ value lams_fbuf_scatter_runs(value vruns, value vbuf, value vdata)
 #undef SCATTER
   return Val_unit;
 }
+
+/* Congruent groups: an OCaml array of n run arrays, each one plain run
+ * (step +1, no repeat) with the same length, count and local_stride,
+ * and an array of n buffers, side s's run reading or filling buffer s.
+ * Block j of every side moves before block j + 1 of any, so when the
+ * sides' starts lie within one stride the walk visits the local store
+ * once, in increasing address order. A group of more than GROUP_CHUNK
+ * sides is moved GROUP_CHUNK sides at a time, each chunk interleaved:
+ * every side is one more buffer stream, and with 64-side chunks the
+ * p = 64 cyclic(1) -> cyclic(64) unpack ran slower (DESIGN.md §13). */
+#define GROUP_CHUNK 32
+
+/* [count] blocks of [len] doubles for each of [n] sides: block j of
+ * side s is copied from from[s] + j*from_step to to[s] + j*to_step.
+ * Block lengths 1 to 4 (SHORT_RUN, where memcpy stops paying) each get
+ * their own loop with the copy unrolled; a loop over a runtime [len]
+ * inside the side loop ran the cyclic(1) source pack over twice as
+ * slow (DESIGN.md §13). */
+#define GROUP_LOOP(COPY)                                   \
+  for (long j = 0; j < count; j++) {                       \
+    long tj = j * to_step, fj = j * from_step;             \
+    for (mlsize_t s = 0; s < n; s++) {                     \
+      double *t = to[s] + tj;                              \
+      const double *f = from[s] + fj;                      \
+      COPY;                                                \
+    }                                                      \
+  }
+
+static void move_group(double *const *to, const double *const *from,
+                       mlsize_t n, long len, long count, long to_step,
+                       long from_step)
+{
+  switch (len) {
+  case 1:
+    GROUP_LOOP(t[0] = f[0]);
+    break;
+  case 2:
+    GROUP_LOOP((t[0] = f[0], t[1] = f[1]));
+    break;
+  case 3:
+    GROUP_LOOP((t[0] = f[0], t[1] = f[1], t[2] = f[2]));
+    break;
+  case 4:
+    GROUP_LOOP((t[0] = f[0], t[1] = f[1], t[2] = f[2], t[3] = f[3]));
+    break;
+  default:
+    GROUP_LOOP(memcpy(t, f, (size_t)len * sizeof(double)));
+  }
+}
+
+/* Local store -> packed buffers, or the inverse when [gather] is 0. */
+static void group(value vruns, value vbufs, value vdata, int gather)
+{
+  double *data = (double *)Caml_ba_data_val(vdata);
+  mlsize_t n = Wosize_val(vruns);
+  if (n == 0)
+    return;
+  value r0 = Field(vruns, 0);
+  long len = Long_val(Field(r0, 2));
+  long count = Long_val(Field(r0, 4));
+  long stride = Long_val(Field(r0, 5));
+  double *to[GROUP_CHUNK];
+  const double *from[GROUP_CHUNK];
+  for (mlsize_t c = 0; c < n; c += GROUP_CHUNK) {
+    mlsize_t m = n - c < GROUP_CHUNK ? n - c : GROUP_CHUNK;
+    for (mlsize_t s = 0; s < m; s++) {
+      value r = Field(vruns, c + s);
+      double *buf = (double *)Caml_ba_data_val(Field(vbufs, c + s))
+                    + Long_val(Field(r, 0));
+      double *local = data + Long_val(Field(r, 1));
+      to[s] = gather ? buf : local;
+      from[s] = gather ? local : buf;
+    }
+    if (gather)
+      move_group(to, from, m, len, count, len, stride);
+    else
+      move_group(to, from, m, len, count, stride, len);
+  }
+}
+
+value lams_fbuf_gather_group(value vruns, value vdata, value vbufs)
+{
+  group(vruns, vbufs, vdata, 1);
+  return Val_unit;
+}
+
+value lams_fbuf_scatter_group(value vruns, value vbufs, value vdata)
+{
+  group(vruns, vbufs, vdata, 0);
+  return Val_unit;
+}

@@ -4,7 +4,9 @@
    aliasing shifts), copy-before-mutate under corrupt+duplicate faults,
    the payload buffer pool's steady-state zero-allocation contract, the
    access-accounting boundary (counted element ops vs raw bulk paths),
-   and the C run kernels against a reference loop. *)
+   the C run kernels against a reference loop, and the congruent-group
+   kernels against a reference loop, a positional oracle and their
+   bounds. *)
 
 open Lams_util
 open Lams_dist
@@ -436,6 +438,255 @@ let test_run_kernels () =
       [ 1; -1 ]
   done
 
+(* --- Group kernels against a reference loop ------------------------- *)
+
+(* Congruent groups of hand-built plain runs: [sides] runs of [count]
+   blocks of [length] cells at one local stride, each from its own
+   nonzero [buf_pos]. Their starts tile the stride when the sides fit in
+   it (the interleaved case) and lie one after another otherwise, so the
+   sides never share a local address. Each side against the element
+   loop the run layout defines, both directions; cells outside the runs
+   keep their values. *)
+let test_group_kernels () =
+  for length = 1 to 9 do
+    for count = 1 to 5 do
+      for local_stride = length to (2 * length) + 3 do
+        List.iter
+          (fun sides ->
+            let start s =
+              if sides * length <= local_stride then 2 + (s * length)
+              else 2 + (s * ((count * local_stride) + length))
+            in
+            let buf_pos s = 1 + (s mod 3) in
+            let local s j i = start s + (j * local_stride) + i in
+            let cell s j i = buf_pos s + (j * length) + i in
+            let runs =
+              Array.init sides (fun s ->
+                  [| buf_pos s; start s; length; 1; count; local_stride |])
+            in
+            let data_len =
+              start (sides - 1) + ((count - 1) * local_stride) + length + 2
+            in
+            let what =
+              Printf.sprintf "length=%d count=%d stride=%d sides=%d" length
+                count local_stride sides
+            in
+            let data = Fbuf.init data_len (fun a -> float_of_int (a + 1)) in
+            let bufs =
+              Array.init sides (fun s ->
+                  Fbuf.init
+                    (buf_pos s + (count * length) + 2)
+                    (fun c -> -.float_of_int ((1000 * s) + c + 1)))
+            in
+            let want_bufs = Array.map Fbuf.copy bufs
+            and want_data = Fbuf.copy data in
+            for s = 0 to sides - 1 do
+              for j = 0 to count - 1 do
+                for i = 0 to length - 1 do
+                  Fbuf.set want_bufs.(s) (cell s j i)
+                    (Fbuf.get data (local s j i));
+                  Fbuf.set want_data (local s j i)
+                    (Fbuf.get bufs.(s) (cell s j i))
+                done
+              done
+            done;
+            let gathered = Array.map Fbuf.copy bufs in
+            Fbuf.unsafe_gather_group runs data gathered;
+            Tutil.check_bool ("gather " ^ what) true
+              (Array.for_all2 Fbuf.equal gathered want_bufs);
+            let scattered = Fbuf.copy data in
+            Fbuf.unsafe_scatter_group runs bufs scattered;
+            Tutil.check_bool ("scatter " ^ what) true
+              (Fbuf.equal scattered want_data))
+          [ 2; 3; 17; 40; 65 ]
+      done
+    done
+  done
+
+(* --- Executor with congruent groups against a positional oracle ------ *)
+
+let c_grouped = Lams_obs.Obs.counter "sched.pack.grouped"
+
+(* cyclic(ks) -> cyclic(ks * p * q) remaps: each source's sides to the
+   destinations one of its blocks feeds are congruent plain runs, so
+   they group; a partial last block, a section stride above 1 or a
+   reversed destination (step -1) leaves singletons beside them, and
+   sides spanning several joint periods fold into repeats. The fixture
+   below pins one processor that holds all three kinds. The aliasing
+   case shifts a cyclic(k) array onto itself at destination stride 2,
+   where each source's two sides group. *)
+let gen_grouping =
+  QCheck2.Gen.(
+    let* p = int_range 2 6 in
+    let* ks = int_range 1 3 in
+    let* q = int_range 1 4 in
+    let* lo = int_range 0 5 in
+    let* count = int_range 2 400 in
+    let* stride = int_range 1 3 in
+    let* reversed = bool in
+    let* alias = bool in
+    return (p, ks, q, lo, count, stride, reversed, alias))
+
+let print_grouping (p, ks, q, lo, count, stride, reversed, alias) =
+  Printf.sprintf "p=%d ks=%d q=%d lo=%d count=%d stride=%d rev=%b alias=%b" p
+    ks q lo count stride reversed alias
+
+let filled ~p ~k ~n id () =
+  Darray.of_array ~name:(Printf.sprintf "g%d" id) ~p
+    ~dist:(Distribution.Block_cyclic k)
+    (Array.init n (fun g -> float_of_int ((5 * g) + id)))
+
+(* Whether [dst] after the run equals its contents before it with cell
+   [dst_section j] replaced by the source's cell [src_section j] as it
+   was before the run (the same array when [alias]). Sequential and
+   domain-parallel, on fresh arrays each. *)
+let grouped_run_matches ~mk_src ~mk_dst ~src_section ~dst_section ~alias =
+  List.for_all
+    (fun parallel ->
+      let src = mk_src () in
+      let dst = if alias then src else mk_dst () in
+      let src0 = Darray.gather src and want = Darray.gather dst in
+      for j = 0 to Section.count src_section - 1 do
+        want.(Section.nth dst_section j) <- src0.(Section.nth src_section j)
+      done;
+      ignore
+        (Executor.redistribute ~parallel ~src ~src_section ~dst ~dst_section ()
+          : Network.t);
+      Darray.gather dst = want)
+    [ false; true ]
+
+let prop_grouped_executor_equals_oracle =
+  Tutil.qtest ~count:150 "congruent groups: executor = positional oracle"
+    gen_grouping ~print:print_grouping
+    (fun (p, ks, q, lo, count, stride, reversed, alias) ->
+      let mk = filled ~p in
+      if alias then begin
+        let k = 2 * ks * q in
+        let dst_lo = lo + 1 in
+        let n = dst_lo + (2 * (count - 1)) + 1 in
+        let src_section = Section.make ~lo ~hi:(lo + count - 1) ~stride:1 in
+        let dst_section =
+          if reversed then
+            Section.make ~lo:(dst_lo + (2 * (count - 1))) ~hi:dst_lo
+              ~stride:(-2)
+          else Section.make ~lo:dst_lo ~hi:(dst_lo + (2 * (count - 1))) ~stride:2
+        in
+        grouped_run_matches ~mk_src:(mk ~k ~n 1) ~mk_dst:(mk ~k ~n 1)
+          ~src_section ~dst_section ~alias:true
+      end
+      else begin
+        let hi = lo + ((count - 1) * stride) in
+        let src_section = Section.make ~lo ~hi ~stride in
+        let dst_section =
+          if reversed then Section.make ~lo:(count - 1) ~hi:0 ~stride:(-1)
+          else Section.make ~lo:0 ~hi:(count - 1) ~stride:1
+        in
+        grouped_run_matches
+          ~mk_src:(mk ~k:ks ~n:(hi + 1) 1)
+          ~mk_dst:(mk ~k:(ks * p * q) ~n:count 2)
+          ~src_section ~dst_section ~alias:false
+      end)
+
+(* One source of a p = 4 cyclic(1) -> cyclic(8) remap of A(0:147:3)
+   packs a group, singletons and repeats in one phase; the run moves
+   the group's sides through the group kernel and still matches the
+   oracle. *)
+let test_group_mix_fixture () =
+  let p = 4 in
+  let src_layout = Layout.create ~p ~k:1 and dst_layout = Layout.create ~p ~k:8 in
+  let src_section = Section.make ~lo:0 ~hi:147 ~stride:3 in
+  let dst_section = Section.make ~lo:0 ~hi:49 ~stride:1 in
+  let sched =
+    Schedule.build ~src_layout ~src_section ~dst_layout ~dst_section
+  in
+  let sides =
+    List.filter_map
+      (fun (tr : Schedule.transfer) ->
+        if tr.Schedule.src_proc = 1 then Some tr.Schedule.src_side else None)
+      (sched.Schedule.locals @ List.concat sched.Schedule.rounds)
+  in
+  let single r = List.length (Tutil.pack_runs r) = 1 in
+  let folded side =
+    match Tutil.pack_parts side with _, Some _, _ -> true | _ -> false
+  in
+  Tutil.check_bool "source 1 has a repeat side" true (List.exists folded sides);
+  Tutil.check_bool "and plain one-run sides" true
+    (List.length (List.filter single sides) >= 2);
+  let mk = filled ~p in
+  with_counters (fun () ->
+      let g0 = Lams_obs.Obs.counter_value c_grouped in
+      Tutil.check_bool "executor = oracle" true
+        (grouped_run_matches ~mk_src:(mk ~k:1 ~n:148 1) ~mk_dst:(mk ~k:8 ~n:50 2)
+           ~src_section ~dst_section ~alias:false);
+      Tutil.check_bool "some sides moved in groups" true
+        (Lams_obs.Obs.counter_value c_grouped - g0 > 0))
+
+(* A group whose last side reaches one cell past the store: the whole
+   phase is refused before anything moves, in both directions. *)
+let test_group_bounds () =
+  let p = 4 and n = 256 in
+  let sec = Section.whole ~n in
+  let sched =
+    Schedule.build ~src_layout:(Layout.create ~p ~k:1) ~src_section:sec
+      ~dst_layout:(Layout.create ~p ~k:8) ~dst_section:sec
+  in
+  let transfers = sched.Schedule.locals @ List.concat sched.Schedule.rounds in
+  let into m =
+    Array.of_list
+      (List.filter_map
+         (fun (tr : Schedule.transfer) ->
+           if tr.Schedule.dst_proc = m then
+             Some (tr.Schedule.dst_side, tr.Schedule.elements)
+           else None)
+         transfers)
+  in
+  let from m =
+    Array.of_list
+      (List.filter_map
+         (fun (tr : Schedule.transfer) ->
+           if tr.Schedule.src_proc = m then
+             Some (tr.Schedule.src_side, tr.Schedule.elements)
+           else None)
+         transfers)
+  in
+  let store = n / p in
+  List.iter
+    (fun (what, phase) ->
+      let sides = Array.map fst phase in
+      Tutil.check_int (what ^ ": one group of p sides") p (Array.length sides);
+      let top =
+        Array.fold_left
+          (fun acc side -> Array.fold_left max acc (Pack.local_addresses side))
+          0 sides
+      in
+      Tutil.check_int (what ^ ": the last side reaches the store's end")
+        (store - 1) top;
+      let short = Fbuf.init (store - 1) (fun a -> float_of_int a) in
+      let bufs () = Array.map (fun (_, e) -> Fbuf.init e (fun _ -> -7.)) phase in
+      let untouched = bufs () in
+      let got = bufs () in
+      Alcotest.check_raises (what ^ ": pack refused") (Invalid_argument "Pack.pack")
+        (fun () -> Pack.pack_sides sides ~data:short ~bufs:got);
+      Tutil.check_bool (what ^ ": no buffer written") true
+        (Array.for_all2 Fbuf.equal got untouched);
+      let short_copy = Fbuf.copy short in
+      Alcotest.check_raises (what ^ ": unpack refused")
+        (Invalid_argument "Pack.unpack") (fun () ->
+          Pack.unpack_sides sides ~bufs:untouched ~data:short);
+      Tutil.check_bool (what ^ ": store not written") true
+        (Fbuf.equal short short_copy);
+      let full = Fbuf.init store (fun a -> float_of_int a) in
+      Pack.pack_sides sides ~data:full ~bufs:got;
+      Tutil.check_bool (what ^ ": a full store packs") true
+        (Array.for_all2
+           (fun side buf ->
+             Array.for_all Fun.id
+               (Array.mapi
+                  (fun c a -> Fbuf.get buf c = float_of_int a)
+                  (Pack.local_addresses side)))
+           sides got))
+    [ ("source 0", from 0); ("destination 3", into 3) ]
+
 let suite =
   [ Alcotest.test_case "fbuf blit/fill_range semantics" `Quick
       test_fbuf_blit_semantics;
@@ -454,4 +705,11 @@ let suite =
     Alcotest.test_case "accounting: counted ops vs raw bulk paths" `Quick
       test_accounting_boundary;
     Alcotest.test_case "run kernels = reference loop, short and long runs"
-      `Quick test_run_kernels ]
+      `Quick test_run_kernels;
+    Alcotest.test_case "group kernels = reference loop" `Quick
+      test_group_kernels;
+    prop_grouped_executor_equals_oracle;
+    Alcotest.test_case "congruent groups: group, singletons and repeats"
+      `Quick test_group_mix_fixture;
+    Alcotest.test_case "congruent groups: one side past the store" `Quick
+      test_group_bounds ]

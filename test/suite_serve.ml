@@ -422,23 +422,28 @@ let test_store_hammer () =
   Tutil.check_int "insertions - evictions = size" st.size
     (st.insertions - st.evictions);
   Tutil.check_bool "evictions under pressure" true (st.evictions > 0);
-  (* Oracle check on a sample of the population, through the public
-     find (canonicalize + rebase), against the seed-path build. *)
+  (* Oracle check on a sample of the population: the digests the
+     daemon would serve (canonicalize, look up, rebase) against the
+     seed-path build. *)
   List.iter
     (fun r ->
-      let { Wire.p; k; s; l; u } = req_of_rank r in
+      let ({ Wire.p; k; s; l; u } as req) = req_of_rank r in
       let pr = Problem.make ~p ~k ~l ~s in
-      let view, _hit = Store.Plan_store.find store pr ~u in
-      for m = 0 to p - 1 do
-        let table = Lams_core.Plan_cache.table view ~m in
-        match Plan.build_uncached pr ~m ~u with
-        | None ->
-            Tutil.check_bool "oracle: unowned" true (table.start_local = None)
-        | Some oracle ->
-            Tutil.check_int "oracle: start_local" oracle.Plan.start_local
-              (Option.get table.start_local);
-            Tutil.check_int "oracle: period" oracle.Plan.length table.length
-      done)
+      let key, _, local_shift =
+        Result.get_ok (Store.Plan_store.key_of_req req)
+      in
+      let v, _hit = Store.Plan_store.find_key store key in
+      let d = Store.Plan_store.digest v ~local_shift ~hit:true in
+      Array.iteri
+        (fun m (pd : Wire.proc_digest) ->
+          match Plan.build_uncached pr ~m ~u with
+          | None -> Tutil.check_bool "oracle: unowned" false pd.owned
+          | Some oracle ->
+              Tutil.check_bool "oracle: owned" true pd.owned;
+              Tutil.check_int "oracle: start_local" oracle.Plan.start_local
+                pd.start_local;
+              Tutil.check_int "oracle: period" oracle.Plan.length pd.length)
+        d.Wire.procs)
     [ 0; 7; 13; 29; 41 ]
 
 (* ------------------------------------------------------------------ *)
@@ -1067,71 +1072,88 @@ let test_server_partial_frames () =
                 (right_plan ra resp)
           | _ -> Alcotest.fail "A got no answer to its byte-by-byte frame"))
 
+(* Ten rounds while two domains spin: the listener then often has not
+   accepted the client when [stop] comes, and a client still in the
+   accept backlog must be answered or shed like any other, never reset. *)
 let test_server_stop_pipelined () =
-  with_temp_file (fun log_path ->
-      let path = temp_sock () in
-      let cfg = { small_cfg with log_path = Some log_path } in
-      let t = Server.start cfg (`Unix path) in
-      let fd = raw_connect path in
-      Fun.protect
-        ~finally:(fun () -> close_quietly fd)
-        (fun () ->
-          (* A hang becomes a failed read, not a stuck suite. *)
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-          let reqs = Array.init 64 plan_req in
-          Array.iteri
-            (fun i r ->
-              Wire.write_frame fd
-                (Wire.encode_request ~id:(i + 1) (Wire.Plan r)))
-            reqs;
-          let stopped = Atomic.make None in
-          let stopper =
-            Thread.create
-              (fun () ->
-                let t0 = Unix.gettimeofday () in
-                Server.stop t;
-                Atomic.set stopped (Some (Unix.gettimeofday () -. t0)))
-              ()
-          in
-          let rec answers acc =
-            match Wire.read_frame fd with
-            | `Eof -> List.rev acc
-            | `Error fe ->
-                Alcotest.fail (Format.asprintf "%a" Wire.pp_frame_error fe)
-            | `Frame payload -> (
-                match Wire.decode_response payload with
-                | Ok answer -> answers (answer :: acc)
-                | Error fe ->
-                    Alcotest.fail (Format.asprintf "%a" Wire.pp_frame_error fe))
-          in
-          let got = answers [] in
-          Thread.join stopper;
-          (match Atomic.get stopped with
-          | Some secs ->
-              Tutil.check_bool "stop returns within 2 s" true (secs < 2.)
-          | None -> Alcotest.fail "stop did not return");
-          Tutil.check_bool "no more answers than requests" true
-            (List.length got <= 64);
-          let plans = Store.Plan_store.create ~capacity:256 () in
-          let scheds = Store.Sched_store.create ~capacity:16 () in
-          ignore (Plan_log.replay log_path ~plans ~scheds : int);
-          List.iteri
-            (fun i (id, resp) ->
-              Tutil.check_int "answers in request order" (i + 1) id;
-              let r = reqs.(i) in
-              match resp with
-              | Wire.Overloaded -> ()
-              | Wire.Plan_digest d ->
-                  Tutil.check_bool "digest is right" true (right_plan r resp);
-                  if not d.plan_hit then begin
-                    let key, _, _ =
-                      Result.get_ok (Store.Plan_store.key_of_req r)
-                    in
-                    Tutil.check_bool "an answered miss is in the plan log" true
-                      (snd (Store.Plan_store.find_key plans key))
-                  end
-              | r -> Alcotest.fail (Format.asprintf "%a" Wire.pp_response r))
-            got))
+  let spinning = Atomic.make true in
+  let spin () =
+    while Atomic.get spinning do
+      Domain.cpu_relax ()
+    done
+  in
+  let spinners = [ Domain.spawn spin; Domain.spawn spin ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set spinning false;
+      List.iter Domain.join spinners)
+  @@ fun () ->
+  for _ = 1 to 10 do
+    with_temp_file (fun log_path ->
+        let path = temp_sock () in
+        let cfg = { small_cfg with log_path = Some log_path } in
+        let t = Server.start cfg (`Unix path) in
+        let fd = raw_connect path in
+        Fun.protect
+          ~finally:(fun () -> close_quietly fd)
+          (fun () ->
+            (* A hang becomes a failed read, not a stuck suite. *)
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+            let reqs = Array.init 64 plan_req in
+            Array.iteri
+              (fun i r ->
+                Wire.write_frame fd
+                  (Wire.encode_request ~id:(i + 1) (Wire.Plan r)))
+              reqs;
+            let stopped = Atomic.make None in
+            let stopper =
+              Thread.create
+                (fun () ->
+                  let t0 = Unix.gettimeofday () in
+                  Server.stop t;
+                  Atomic.set stopped (Some (Unix.gettimeofday () -. t0)))
+                ()
+            in
+            let rec answers acc =
+              match Wire.read_frame fd with
+              | `Eof -> List.rev acc
+              | `Error fe ->
+                  Alcotest.fail (Format.asprintf "%a" Wire.pp_frame_error fe)
+              | `Frame payload -> (
+                  match Wire.decode_response payload with
+                  | Ok answer -> answers (answer :: acc)
+                  | Error fe ->
+                      Alcotest.fail (Format.asprintf "%a" Wire.pp_frame_error fe))
+            in
+            let got = answers [] in
+            Thread.join stopper;
+            (match Atomic.get stopped with
+            | Some secs ->
+                Tutil.check_bool "stop returns within 2 s" true (secs < 2.)
+            | None -> Alcotest.fail "stop did not return");
+            Tutil.check_bool "no more answers than requests" true
+              (List.length got <= 64);
+            let plans = Store.Plan_store.create ~capacity:256 () in
+            let scheds = Store.Sched_store.create ~capacity:16 () in
+            ignore (Plan_log.replay log_path ~plans ~scheds : int);
+            List.iteri
+              (fun i (id, resp) ->
+                Tutil.check_int "answers in request order" (i + 1) id;
+                let r = reqs.(i) in
+                match resp with
+                | Wire.Overloaded -> ()
+                | Wire.Plan_digest d ->
+                    Tutil.check_bool "digest is right" true (right_plan r resp);
+                    if not d.plan_hit then begin
+                      let key, _, _ =
+                        Result.get_ok (Store.Plan_store.key_of_req r)
+                      in
+                      Tutil.check_bool "an answered miss is in the plan log" true
+                        (snd (Store.Plan_store.find_key plans key))
+                    end
+                | r -> Alcotest.fail (Format.asprintf "%a" Wire.pp_response r))
+              got))
+  done
 
 let suite =
   [
