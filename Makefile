@@ -1,9 +1,8 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-json bench-dataplane-quick \
-	bench-inspector-quick smoke fuzz-quick chaos-quick native-quick \
-	serve-quick adaptive-quick bench-e2e bench-compare bench-pairs doc \
-	clean
+.PHONY: all check test bench bench-json bench-inspector-quick smoke \
+	fuzz-quick chaos-quick native-quick serve-quick adaptive-quick \
+	bench-e2e bench-compare bench-pairs doc clean
 
 all:
 	dune build @all
@@ -23,7 +22,6 @@ check:
 	dune build @fuzz
 	dune build @chaos
 	dune build @native
-	dune build @dataplane
 	dune build @inspector
 	dune build @serve
 	dune build @adaptive
@@ -36,15 +34,6 @@ smoke:
 # `dune exec -- lams fuzz --seed 42 --budget 1000`.
 fuzz-quick:
 	dune build @fuzz
-
-# Data-plane smoke: blit vs element-at-a-time packing at reduced size;
-# the bench itself asserts the steady-state pool contract (hits =
-# transfers, zero misses after warm-up), that congruent sides move
-# through the group kernels (sched.pack.grouped > 0 on every row), and
-# spot-checks the delivered contents, so a broken blit path fails the
-# build, not just the numbers.
-bench-dataplane-quick:
-	dune build @dataplane
 
 # Inspector smoke: the linear joint-cycle walk vs the retired all-pairs
 # CRT oracle at reduced size; the bench asserts the two build
@@ -123,14 +112,11 @@ bench-pairs:
 	bash tools/bench-pairs.sh $(BASE) $(N) $(SEED0)
 
 # Regenerate the bench artifacts with quick parameters (the committed
-# BENCH_amortize.json / BENCH_redistribute.json were produced by the
-# full sweeps, e.g.
-# `dune exec bench/main.exe -- redistribute --json BENCH_redistribute.json`).
+# BENCH_*.json files were produced by the full sweeps, e.g.
+# `dune exec bench/main.exe -- amortize --json BENCH_amortize.json`).
 bench-json:
 	dune exec bench/main.exe -- amortize --quick --json BENCH_amortize.json
-	dune exec bench/main.exe -- redistribute --quick --json BENCH_redistribute.json
 	dune exec bench/main.exe -- codegen --quick --json BENCH_codegen.json
-	dune exec bench/main.exe -- dataplane --quick --json BENCH_dataplane.json
 	dune exec bench/main.exe -- inspector --quick --json BENCH_inspector.json
 	dune exec bench/main.exe -- serve --quick --json BENCH_serve.json
 	dune exec bench/main.exe -- adaptive --quick --json BENCH_adaptive.json

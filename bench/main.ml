@@ -8,8 +8,8 @@
 let usage () =
   print_endline
     "usage: bench/main.exe [table1 | figure7 | table2 | ablations | amortize \
-     | redistribute | dataplane | inspector | chaos | adaptive | codegen | \
-     serve | bechamel | all] [--quick] [--json FILE]";
+     | inspector | chaos | adaptive | codegen | serve | bechamel | all] \
+     [--quick] [--json FILE]";
   print_endline "  (no experiment = all)"
 
 let run_table1_and_figure7 () =
@@ -37,8 +37,6 @@ let () =
   let experiments = parse [] args in
   let experiments = if experiments = [] then [ "all" ] else experiments in
   let amortize () = Amortize.run ~quick:!quick ?json:!json () in
-  let redistribute () = Redistribute.run ~quick:!quick ?json:!json () in
-  let dataplane () = Dataplane.run ~quick:!quick ?json:!json () in
   let inspector () = Inspector.run ~quick:!quick ?json:!json () in
   let chaos () = Chaos.run ~quick:!quick ?json:!json () in
   let adaptive () = Adaptive.run ~quick:!quick ?json:!json () in
@@ -52,8 +50,6 @@ let () =
       | "table2" -> ignore (Table2.run () : Table2.row list)
       | "ablations" -> Ablations.run ()
       | "amortize" -> amortize ()
-      | "redistribute" -> redistribute ()
-      | "dataplane" -> dataplane ()
       | "inspector" -> inspector ()
       | "chaos" -> chaos ()
       | "adaptive" -> adaptive ()
@@ -68,10 +64,6 @@ let () =
           Ablations.run ();
           print_newline ();
           amortize ();
-          print_newline ();
-          redistribute ();
-          print_newline ();
-          dataplane ();
           print_newline ();
           inspector ();
           print_newline ();

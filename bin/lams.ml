@@ -1260,7 +1260,7 @@ let chaos_cmd =
            %d, \"corrupt_drops\": %d, \"stale_drops\": %d, \"downgrades\": \
            %d, \"backoff_p95\": %s},\n \
            \"recovery\": {\"crashes\": %d, \"respawns\": %d, \"exhausted\": \
-           %d, \"legacy_fallbacks\": %d},\n \
+           %d, \"replays\": %d},\n \
            \"adaptive\": {\"enabled\": %s, \"links\": %d, \"reweights\": \
            %d, \"splits\": %d, \"replans\": %d},\n \
            \"health\": [%s]}\n"
@@ -1283,7 +1283,7 @@ let chaos_cmd =
           (c "spmd.recovery.crashes")
           (c "spmd.recovery.respawns")
           (c "spmd.recovery.exhausted")
-          (c "sched.executor.legacy_fallbacks")
+          (c "sched.executor.replays")
           (b adaptive) (List.length link_profiles)
           (c "sched.reweights") (c "sched.splits")
           (c "sched.executor.replans")
@@ -1329,12 +1329,12 @@ let chaos_cmd =
             | Some v -> Printf.sprintf ", backoff p95 %g ticks" v
             | None -> "");
           Printf.printf
-            "recovery: %d crashes, %d respawns, %d exhausted, %d legacy \
-             fallbacks; %d chaos messages over %d ticks\n"
+            "recovery: %d crashes, %d respawns, %d exhausted, %d replays; \
+             %d chaos messages over %d ticks\n"
             (c "spmd.recovery.crashes")
             (c "spmd.recovery.respawns")
             (c "spmd.recovery.exhausted")
-            (c "sched.executor.legacy_fallbacks")
+            (c "sched.executor.replays")
             (Network.messages_sent chaos_net)
             (Network.now chaos_net);
           if adaptive then

@@ -356,40 +356,49 @@ let sim_checks case =
        legacy contents — the reliable protocol retransmits, dedups and
        checksums its way there, the respawn budget replays the crashed
        rank, and exhaustion downgrades to the pre-packed buffers, so
-       any divergence is a protocol bug, never bad luck. *)
+       any divergence is a protocol bug, never bad luck. The round runs
+       twice on fresh fabrics with the same fault seed: with a respawn
+       budget, and with none, so a crash that fires ends the run in the
+       executor's replay from its packed buffers. *)
     let chaos_seed =
       case.p + (31 * case.k) + (1009 * case.l) + (9176 * case.s)
       + (523 * case.u)
     in
-    let fm =
-      Fault_model.create
-        ~rates:
-          { Fault_model.drop = 0.25; duplicate = 0.15; reorder = 0.2;
-            corrupt = 0.15; delay = 0.25 }
-        ~max_delay:3
-        ~crashes:(if case.p > 1 then [ (case.l mod case.p, 2) ] else [])
-        ~seed:chaos_seed ()
-    in
-    let dst3 =
-      Darray.create ~name:"chk_dst3" ~n ~p:case.p
-        ~dist:(Distribution.Block_cyclic (case.k + 1))
-    in
-    let chaos_net = Network.create ~p:case.p in
-    Network.set_faults chaos_net (Some fm);
-    ignore
-      (Lams_sched.Executor.run ~net:chaos_net ~respawns:4 sched ~src
-         ~dst:dst3
-        : Network.t);
-    if not (Darray.equal_contents dst dst3) then
-      fail case ~m:(-1) ~oracle:"section_ops.copy(perfect network)"
-        ~candidate:"sched.executor(chaos)"
-        (Printf.sprintf
-           "scheduled-under-faults differs from legacy-on-perfect \
-            (fault seed %d)"
-           chaos_seed);
-    if Network.in_flight chaos_net <> 0 then
-      fail case ~m:(-1) ~oracle:"quiet fabric" ~candidate:"sched.executor(chaos)"
-        "protocol stragglers left in flight after the run"
+    List.iter
+      (fun respawns ->
+        let fm =
+          Fault_model.create
+            ~rates:
+              { Fault_model.drop = 0.25; duplicate = 0.15; reorder = 0.2;
+                corrupt = 0.15; delay = 0.25 }
+            ~max_delay:3
+            ~crashes:(if case.p > 1 then [ (case.l mod case.p, 2) ] else [])
+            ~seed:chaos_seed ()
+        in
+        let dst3 =
+          Darray.create ~name:"chk_dst3" ~n ~p:case.p
+            ~dist:(Distribution.Block_cyclic (case.k + 1))
+        in
+        let chaos_net = Network.create ~p:case.p in
+        Network.set_faults chaos_net (Some fm);
+        ignore
+          (Lams_sched.Executor.run ~net:chaos_net ~respawns sched ~src
+             ~dst:dst3
+            : Network.t);
+        let candidate =
+          Printf.sprintf "sched.executor(chaos, respawns %d)" respawns
+        in
+        if not (Darray.equal_contents dst dst3) then
+          fail case ~m:(-1) ~oracle:"section_ops.copy(perfect network)"
+            ~candidate
+            (Printf.sprintf
+               "scheduled-under-faults differs from legacy-on-perfect \
+                (fault seed %d)"
+               chaos_seed);
+        if Network.in_flight chaos_net <> 0 then
+          fail case ~m:(-1) ~oracle:"quiet fabric" ~candidate
+            "protocol stragglers left in flight after the run")
+      [ 4; 0 ]
   end
 
 (* --- One case through the whole matrix ----------------------------- *)

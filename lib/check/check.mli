@@ -141,7 +141,10 @@ type config = {
       (** run the slower {!Lams_sim} differential checks (parallel vs
           sequential fill, cross-layout copy vs oracle, scheduled
           redistribution vs the legacy exchange plus the schedule's
-          round-validity invariants) on cases small enough to
+          round-validity invariants, and the same redistribution on a
+          seeded lossy fabric with a planned crash, once with a
+          respawn budget and once with none, so a fired crash ends in
+          the executor's replay) on cases small enough to
           materialize *)
   native : bool;
       (** interleave compiled-C conformance rounds (every 100 cases,

@@ -231,7 +231,8 @@ let run ?(shape = Lams_codegen.Shapes.Shape_d) ?(parallel = false)
             when (match lookup src_ref.Sema.info.Sema.name with
                  | Direct _ -> true
                  | Packed _ | Md _ -> false) -> begin
-              (* Schedule-driven two-phase exchange. *)
+              (* The scheduled exchange: cached schedule, one pack
+                 phase, contention-free rounds, one unpack phase. *)
               match lookup src_ref.Sema.info.Sema.name with
               | Direct s ->
                   Lams_obs.Obs.incr c_copies;

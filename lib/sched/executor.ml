@@ -1,8 +1,6 @@
 open Lams_dist
 open Lams_sim
 
-type packing = Blit | Elementwise
-
 let c_packed_bytes =
   Lams_obs.Obs.counter "sched.packed_bytes" ~units:"bytes"
     ~doc:"payload bytes moved through packed round messages"
@@ -11,10 +9,10 @@ let c_executions =
   Lams_obs.Obs.counter "sched.executions" ~units:"schedules"
     ~doc:"schedules executed on the simulated machine"
 
-let c_legacy_fallbacks =
-  Lams_obs.Obs.counter "sched.executor.legacy_fallbacks" ~units:"runs"
-    ~doc:"scheduled runs abandoned to the legacy Section_ops.copy path \
-          after the crash-respawn budget ran out"
+let c_replays =
+  Lams_obs.Obs.counter "sched.executor.replays" ~units:"runs"
+    ~doc:"scheduled runs finished from their pre-packed buffers after a \
+          crash outlived the respawn budget"
 
 let c_adaptive_runs =
   Lams_obs.Obs.counter "sched.executor.adaptive_runs" ~units:"runs"
@@ -54,14 +52,13 @@ let run_counter = Atomic.make 1
    On a faulty fabric the rounds run through the {!Reliable} protocol
    instead (sequence numbers, checksums, ack/retransmit); crashed ranks
    are respawned from the [respawns] budget, and when that is spent the
-   degradation ladder applies: an aliasing run ([src == dst]) replays
-   every undelivered transfer from the pre-packed buffers (always
-   correct — packing happened before any write), a non-aliasing run
-   re-raises so {!redistribute} can fall back to the legacy oracle
-   exchange. Whatever happens, posted-but-undrained messages are purged
-   before control leaves, so a reused fabric never pins this run's
-   packed buffers. *)
-let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
+   run replays every undelivered transfer from the pre-packed buffers:
+   packing happened before any write and a planned crash fires only on
+   a data send, so the replay is exact whether or not [src] and [dst]
+   alias, and no [Spmd.Crash] leaves [run]. Whatever happens,
+   posted-but-undrained messages are purged before control leaves, so a
+   reused fabric never pins this run's packed buffers. *)
+let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
     ?(adaptive = false) (sched : Schedule.t) ~src ~dst =
   if Darray.procs src <> sched.Schedule.src_procs
      || Darray.procs dst <> sched.Schedule.dst_procs
@@ -98,19 +95,6 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
   in
   let budget = if respawns > 0 then Some (Spmd.respawn_budget respawns) else None in
   let run_phase f = Spmd.run_protected ?budget ~parallel ~p f in
-  let pack_sides, unpack_sides =
-    match packing with
-    | Blit -> (Pack.pack_sides, Pack.unpack_sides)
-    | Elementwise ->
-        ( (fun sides ~data ~bufs ->
-            Array.iteri
-              (fun i side -> Pack.pack_elementwise side ~data ~buf:bufs.(i))
-              sides),
-          fun sides ~bufs ~data ->
-            Array.iteri
-              (fun i side -> Pack.unpack_elementwise side ~buf:bufs.(i) ~data)
-              sides )
-  in
   let locals = Array.of_list sched.Schedule.locals in
   let rounds = Array.of_list (List.map Array.of_list sched.Schedule.rounds) in
   (* Payload buffers come from the per-domain pool: packing overwrites
@@ -169,13 +153,13 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
   let in_sides = arrays in_sides and in_bufs = arrays in_bufs in
   let pack_phase m =
     if Array.length out_sides.(m) > 0 then
-      pack_sides out_sides.(m)
+      Pack.pack_sides out_sides.(m)
         ~data:(Local_store.data (Darray.local src m))
         ~bufs:out_bufs.(m)
   in
   let unpack_phase m =
     if Array.length in_sides.(m) > 0 then
-      unpack_sides in_sides.(m) ~bufs:in_bufs.(m)
+      Pack.unpack_sides in_sides.(m) ~bufs:in_bufs.(m)
         ~data:(Local_store.data (Darray.local dst m))
   in
   run_phase pack_phase;
@@ -248,10 +232,10 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
                 rounds))
       in
       let completed = ref [] in
-      (* The bottom rung that is always available in-run: any transfer
-         not yet delivered is unpacked straight from its pre-packed
-         buffer. Packing happened before any write, so this is correct
-         even when [src] and [dst] alias. *)
+      (* The bottom rung: any transfer not yet delivered is unpacked
+         straight from its pre-packed buffer. Packing happened before
+         any write, so this is correct even when [src] and [dst]
+         alias. *)
       let replay_undelivered () =
         let replay ((tr : Schedule.transfer), seq, buf) =
           let m = tr.Schedule.dst_proc in
@@ -366,11 +350,11 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0) ?(packing = Blit)
             greet the caller's next exchange on this fabric. *)
          ignore (Network.purge net : int)
        with
-      | Spmd.Crash _ when src == dst ->
-          (* Crash budget exhausted mid-protocol on an aliasing run: the
-             legacy fallback would re-read partially overwritten source
-             memory, so finish from the pre-packed buffers instead. *)
+      | Spmd.Crash _ ->
+          (* The respawn budget is spent: finish the run from its
+             pre-packed buffers. *)
           ignore (Network.purge net : int);
+          Lams_obs.Obs.incr c_replays;
           replay_undelivered ()
       | e ->
           ignore (Network.purge net : int);
@@ -383,7 +367,7 @@ let check_section (a : Darray.t) sec =
   if norm.Section.lo < 0 || norm.Section.hi >= Darray.size a then
     invalid_arg "Executor: section outside the array"
 
-let redistribute ?net ?parallel ?reliable ?respawns ?packing ?adaptive ~src
+let redistribute ?net ?parallel ?reliable ?respawns ?adaptive ~src
     ~src_section ~dst ~dst_section () =
   check_section src src_section;
   check_section dst dst_section;
@@ -396,12 +380,4 @@ let redistribute ?net ?parallel ?reliable ?respawns ?packing ?adaptive ~src
     Cache.find ~src_layout:(Darray.layout src) ~src_section
       ~dst_layout:(Darray.layout dst) ~dst_section
   in
-  try run ?net ?parallel ?reliable ?respawns ?packing ?adaptive sched ~src ~dst
-  with Spmd.Crash _ ->
-    (* The respawn budget ran out and the run could not finish in
-       place: degrade to the legacy oracle exchange on a perfect
-       replacement fabric (re-reading [src] is safe here — the aliasing
-       case was already handled inside [run]) and record the downgrade
-       instead of raising. *)
-    Lams_obs.Obs.incr c_legacy_fallbacks;
-    Section_ops.copy ~src ~src_section ~dst ~dst_section ()
+  run ?net ?parallel ?reliable ?respawns ?adaptive sched ~src ~dst

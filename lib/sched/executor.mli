@@ -26,24 +26,23 @@
     replay depend on that — so there the unpack phase covers only the
     self-transfers, before the first round. Crashed ranks are respawned
     from the [respawns] budget
-    ({!Lams_sim.Spmd.run_protected}). The degradation ladder, top to
-    bottom:
+    ({!Lams_sim.Spmd.run_protected}). The degradation ladder has two
+    rungs, and both finish inside the run:
 
     + retransmit with backoff until the per-transfer retry budget runs
       out, then unpack the transfer straight from its pre-packed buffer
       ([sched.reliable.downgrades]);
-    + a crash outliving the respawn budget on an {e aliasing} run
-      ([src == dst]) replays every undelivered transfer from the
-      pre-packed buffers in-run;
-    + on a non-aliasing run it propagates to {!redistribute}, which
-      falls back to the legacy {!Lams_sim.Section_ops.copy} oracle on a
-      perfect fabric ([sched.executor.legacy_fallbacks]) instead of
-      raising.
+    + a crash outliving the respawn budget ends the protocol, and every
+      transfer not yet delivered is unpacked from its pre-packed buffer
+      ([sched.executor.replays] counts such runs, aliasing or not).
 
-    Every rung preserves the exact legacy result. On any exit —
-    normal or raising — posted-but-undrained messages are purged from
-    the fabric, so a reused network neither pins this run's packed
-    buffers nor leaks protocol stragglers into the next exchange.
+    Both rungs are exact: every buffer is packed before any write, and
+    a planned crash fires only on a data send, which comes after the
+    pack phase. So neither {!run} nor {!redistribute} raises
+    {!Lams_sim.Spmd.Crash}. On any exit — normal or raising —
+    posted-but-undrained messages are purged from the fabric, so a
+    reused network neither pins this run's packed buffers nor leaks
+    protocol stragglers into the next exchange.
 
     {b Payload buffers} come from the per-domain {!Pool} and are
     released on every exit path, so a steady-state exchange (schedule
@@ -64,21 +63,13 @@
     against current costs (pieces reuse sub-views of the already-packed
     buffers) and regrouped under fresh sequence numbers, so
     exactly-once delivery and the full degradation ladder
-    (re-plan → downgrade → legacy fallback) are preserved. *)
-
-type packing =
-  | Blit  (** contiguous runs move as [memmove]-speed blits (default) *)
-  | Elementwise
-      (** element-at-a-time marshalling on the same buffers — the
-          pre-blit data plane, kept as an adjacent baseline for benches
-          and differential tests *)
+    (re-plan → downgrade → replay) are preserved. *)
 
 val run :
   ?net:Lams_sim.Network.t ->
   ?parallel:bool ->
   ?reliable:Reliable.config ->
   ?respawns:int ->
-  ?packing:packing ->
   ?adaptive:bool ->
   Schedule.t ->
   src:Lams_sim.Darray.t ->
@@ -88,19 +79,17 @@ val run :
     [dst]. Returns the network used (created at machine size when [net]
     is absent) so callers can reuse it and read its accounting. With no
     fault model and no [reliable] config this is the plain seed path —
-    bit-identical results and messages.
+    bit-identical results and messages. Never raises
+    {!Lams_sim.Spmd.Crash}: a crash outliving the respawn budget is
+    finished from the pre-packed buffers.
     @raise Invalid_argument if the schedule was built for different
-    machine sizes or [net] is too small.
-    @raise Lams_sim.Spmd.Crash when the respawn budget is exhausted on
-    a non-aliasing run (callers wanting graceful degradation go through
-    {!redistribute}). *)
+    machine sizes or [net] is too small. *)
 
 val redistribute :
   ?net:Lams_sim.Network.t ->
   ?parallel:bool ->
   ?reliable:Reliable.config ->
   ?respawns:int ->
-  ?packing:packing ->
   ?adaptive:bool ->
   src:Lams_sim.Darray.t ->
   src_section:Lams_dist.Section.t ->
@@ -108,11 +97,9 @@ val redistribute :
   dst_section:Lams_dist.Section.t ->
   unit ->
   Lams_sim.Network.t
-(** Scheduled replacement for {!Lams_sim.Section_ops.copy}: look the
-    schedule up in the {!Cache} and run it. Element [j] of [src_section]
-    lands on element [j] of [dst_section]. Never raises
-    {!Lams_sim.Spmd.Crash}: an exhausted respawn budget degrades to the
-    legacy copy on a perfect replacement fabric (whose network is then
-    the one returned) and bumps [sched.executor.legacy_fallbacks].
+(** [DST(dst_section) = SRC(src_section)], the result of
+    {!Lams_sim.Section_ops.copy}: look the schedule up in the {!Cache}
+    and {!run} it. Element [j] of [src_section] lands on element [j] of
+    [dst_section]. Never raises {!Lams_sim.Spmd.Crash}.
     @raise Invalid_argument on empty, out-of-bounds or count-mismatched
     sections. *)

@@ -507,21 +507,6 @@ let iter_blocks side f =
           ~length ~step
       done)
 
-(* Element-at-a-time variants on the same buffers: the adjacent
-   before/after baseline for `bench/dataplane.ml` (what the data plane
-   did before the blit conversion, minus boxing). *)
-let pack_elementwise side ~data ~buf =
-  iter_blocks side (fun ~buf_pos ~start_local ~length ~step ->
-      for i = 0 to length - 1 do
-        Fbuf.set buf (buf_pos + i) (Fbuf.get data (start_local + (step * i)))
-      done)
-
-let unpack_elementwise side ~buf ~data =
-  iter_blocks side (fun ~buf_pos ~start_local ~length ~step ->
-      for i = 0 to length - 1 do
-        Fbuf.set data (start_local + (step * i)) (Fbuf.get buf (buf_pos + i))
-      done)
-
 (* ------------------------------------------------------------------ *)
 (* Rebasing and splitting.                                             *)
 

@@ -151,15 +151,6 @@ val unpack_sides :
     @raise Invalid_argument ["Pack.unpack"] if the arrays differ in
     length or a side escapes either buffer (nothing is copied then). *)
 
-val pack_elementwise :
-  side -> data:Lams_util.Fbuf.t -> buf:Lams_util.Fbuf.t -> unit
-(** Element-at-a-time {!pack} on the same buffers — the pre-blit data
-    plane, kept as the adjacent baseline for [bench/dataplane.ml] and
-    the differential tests. *)
-
-val unpack_elementwise :
-  side -> buf:Lams_util.Fbuf.t -> data:Lams_util.Fbuf.t -> unit
-
 val shift : side -> int -> side
 (** Translate every local address by the delta (schedule-cache rebase),
     in O(records). *)

@@ -170,11 +170,6 @@ let find t ~src_proc ~dst_proc =
     (fun tr -> tr.src_proc = src_proc && tr.dst_proc = dst_proc)
     t.transfers
 
-let by_src t ~p_src =
-  let a = Array.make (max 1 p_src) [] in
-  List.iter (fun tr -> a.(tr.src_proc) <- tr :: a.(tr.src_proc)) t.transfers;
-  Array.map List.rev a
-
 let cross_processor_elements t =
   List.fold_left
     (fun acc tr -> if tr.src_proc <> tr.dst_proc then acc + tr.elements else acc)

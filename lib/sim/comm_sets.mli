@@ -11,7 +11,11 @@
     of the joint cycle [L = lcm(cycle_src, cycle_dst)] therefore belongs
     to exactly one processor pair, and one ascending sweep of the joint
     cycle emits each pair's progressions directly — no CRT solves, no
-    per-pair probing, and not a single element enumerated. *)
+    per-pair probing, and not a single element enumerated.
+
+    The scheduled exchange ([Lams_sched]) lowers these sets into rounds
+    and pack sides. {!Section_ops.copy} does not use them: it is the
+    element-enumerating oracle that exchange is checked against. *)
 
 type progression = {
   first : int;  (** smallest traversal position in the run *)
@@ -72,12 +76,6 @@ val positions : progression -> int list
 (** Materialise a run (test/debug helper). *)
 
 val find : t -> src_proc:int -> dst_proc:int -> transfer option
-
-val by_src : t -> p_src:int -> transfer list array
-(** Transfers grouped by [src_proc] (index = sending processor; each
-    group keeps the ascending [dst_proc] order), so an SPMD send phase
-    reads its own slot instead of filtering the whole O(p²) list on
-    every rank. *)
 
 val cross_processor_elements : t -> int
 (** Elements whose source and destination owners differ — the actual

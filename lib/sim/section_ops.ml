@@ -63,14 +63,6 @@ let position_in (sec : Section.t) g =
   if sec.Section.stride > 0 then (g - sec.Section.lo) / sec.Section.stride
   else (sec.Section.lo - g) / -sec.Section.stride
 
-let copy_network ?net ~p () =
-  match net with
-  | None -> Network.create ~p
-  | Some n ->
-      if Network.procs n < p then
-        invalid_arg "Section_ops.copy: network smaller than the machine";
-      n
-
 let copy ?net ~src ~src_section ~dst ~dst_section () =
   check_section src src_section;
   check_section dst dst_section;
@@ -78,7 +70,14 @@ let copy ?net ~src ~src_section ~dst ~dst_section () =
     invalid_arg "Section_ops.copy: section element counts differ";
   let p_src = Darray.procs src and p_dst = Darray.procs dst in
   let p = max p_src p_dst in
-  let net = copy_network ?net ~p () in
+  let net =
+    match net with
+    | None -> Network.create ~p
+    | Some n ->
+        if Network.procs n < p then
+          invalid_arg "Section_ops.copy: network smaller than the machine";
+        n
+  in
   let src_norm = Section.normalize src_section in
   let src_pr = Problem.of_section (Darray.layout src) src_norm in
   let dst_lay = Darray.layout dst in
@@ -120,63 +119,6 @@ let copy ?net ~src ~src_section ~dst ~dst_section () =
     end
   in
   (* Phase 2: destination owners drain their mailboxes. *)
-  let recv_phase m =
-    if m < p_dst then begin
-      let data = Local_store.data (Darray.local dst m) in
-      List.iter
-        (fun (msg : Network.message) ->
-          Array.iteri
-            (fun idx addr ->
-              Fbuf.set data addr (Fbuf.unsafe_get msg.Network.payload idx))
-            msg.Network.addresses)
-        (Network.receive_all net ~dst:m)
-    end
-  in
-  Spmd.barrier_phases ~p ~phases:[ send_phase; recv_phase ];
-  net
-
-let copy_scheduled ?net ~src ~src_section ~dst ~dst_section () =
-  check_section src src_section;
-  check_section dst dst_section;
-  if Section.count src_section <> Section.count dst_section then
-    invalid_arg "Section_ops.copy: section element counts differ";
-  let p_src = Darray.procs src and p_dst = Darray.procs dst in
-  let p = max p_src p_dst in
-  let net = copy_network ?net ~p () in
-  let src_lay = Darray.layout src and dst_lay = Darray.layout dst in
-  let schedule =
-    Comm_sets.build ~src_layout:src_lay ~src_section ~dst_layout:dst_lay
-      ~dst_section
-  in
-  (* Pre-index the transfers by sender before spawning phases: each rank
-     reads its own slot instead of filtering the full O(p²) list. *)
-  let by_src = Comm_sets.by_src schedule ~p_src in
-  (* Phase 1: each sender walks its transfers' progressions; no ownership
-     tests are needed — the schedule already encodes them. *)
-  let send_phase m =
-    if m < p_src then
-      let data = Local_store.data (Darray.local src m) in
-      List.iter
-        (fun (tr : Comm_sets.transfer) ->
-          let n = tr.Comm_sets.elements in
-          let addresses = Array.make n 0 and payload = Fbuf.uninit n in
-          let idx = ref 0 in
-          List.iter
-            (fun run ->
-              List.iter
-                (fun j ->
-                  let g_src = Section.nth src_section j
-                  and g_dst = Section.nth dst_section j in
-                  addresses.(!idx) <- Layout.local_address dst_lay g_dst;
-                  Fbuf.unsafe_set payload !idx
-                    (Fbuf.get data (Layout.local_address src_lay g_src));
-                  incr idx)
-                (Comm_sets.positions run))
-            tr.Comm_sets.runs;
-          Network.send net ~src:m ~dst:tr.Comm_sets.dst_proc ~tag:1
-            ~addresses ~payload)
-        by_src.(m)
-  in
   let recv_phase m =
     if m < p_dst then begin
       let data = Local_store.data (Darray.local dst m) in

@@ -2,10 +2,12 @@
     operations an HPF compiler emits node code for, built on the paper's
     address-sequence machinery.
 
-    Local traversals use a Figure 8 node-code shape; inter-array
-    assignments compute their communication sets from the same owned-
-    element enumerations and move data through the simulated
-    {!Network}. *)
+    Local traversals use a Figure 8 node-code shape. {!copy}, the
+    inter-array assignment, routes every owned element through the
+    simulated {!Network} one (address, value) pair at a time; the
+    production exchange is [Lams_sched.Executor.redistribute], and
+    {!copy} stays as the oracle it is checked against ([lams fuzz],
+    [lams chaos] and the test suites). *)
 
 val fill :
   ?shape:Lams_codegen.Shapes.t ->
@@ -45,15 +47,6 @@ val copy :
     so callers can inspect traffic counters.
     @raise Invalid_argument on count mismatch, out-of-bounds sections, or
     a network sized differently from the machines. *)
-
-val copy_scheduled :
-  ?net:Network.t ->
-  src:Darray.t -> src_section:Lams_dist.Section.t ->
-  dst:Darray.t -> dst_section:Lams_dist.Section.t -> unit -> Network.t
-(** Same operation and same result as {!copy}, but driven by the
-    closed-form {!Comm_sets} schedule instead of enumerating owned
-    elements — the structure a compiler emits when it knows the mapping
-    statically. The test suite checks the two paths byte-identical. *)
 
 val check_section : Darray.t -> Lams_dist.Section.t -> unit
 (** @raise Invalid_argument if the section is empty or reaches outside

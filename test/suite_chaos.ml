@@ -25,7 +25,7 @@ let c_corrupt_drops = Lams_obs.Obs.counter "sched.reliable.corrupt_drops"
 let c_crashes = Lams_obs.Obs.counter "spmd.recovery.crashes"
 let c_respawns = Lams_obs.Obs.counter "spmd.recovery.respawns"
 let c_exhausted = Lams_obs.Obs.counter "spmd.recovery.exhausted"
-let c_fallbacks = Lams_obs.Obs.counter "sched.executor.legacy_fallbacks"
+let c_replays = Lams_obs.Obs.counter "sched.executor.replays"
 
 (* --- fault model determinism --- *)
 
@@ -103,20 +103,32 @@ let gen_chaos =
     let* reorder = float_bound_inclusive 0.4 in
     let* corrupt = float_bound_inclusive 0.4 in
     let* delay = float_bound_inclusive 0.5 in
-    let* crash = bool in
-    return (p, sk, dk, lo, count, stride, seed, (drop, dup, reorder, corrupt, delay), crash))
+    let* respawns = int_range 0 4 in
+    let* crashes = int_range 0 p in
+    let* nth = int_range 1 3 in
+    return
+      ( p, sk, dk, lo, count, stride, seed,
+        (drop, dup, reorder, corrupt, delay),
+        (respawns, crashes, nth) ))
 
-let print_chaos (p, sk, dk, lo, count, stride, seed, (dr, du, re, co, de), crash) =
+let print_chaos
+    ( p, sk, dk, lo, count, stride, seed, (dr, du, re, co, de),
+      (respawns, crashes, nth) ) =
   Printf.sprintf
     "p=%d sk=%d dk=%d lo=%d count=%d stride=%d seed=%d rates=(%.2f %.2f \
-     %.2f %.2f %.2f) crash=%b"
-    p sk dk lo count stride seed dr du re co de crash
+     %.2f %.2f %.2f) respawns=%d crashes=%d nth=%d"
+    p sk dk lo count stride seed dr du re co de respawns crashes nth
 
+(* Up to p planned crashes against a respawn budget of 0-4, so the
+   budget often runs out on these non-aliasing runs and the executor
+   must finish them from its packed buffers. *)
 let prop_chaos_converges =
   Tutil.qtest ~count:60
     "any sub-unity fault mix converges to the exact legacy result"
     gen_chaos ~print:print_chaos
-    (fun (p, sk, dk, lo, count, stride, seed, (drop, dup, reorder, corrupt, delay), crash) ->
+    (fun ( p, sk, dk, lo, count, stride, seed,
+           (drop, dup, reorder, corrupt, delay),
+           (respawns, crashes, nth) ) ->
       let hi = lo + ((count - 1) * stride) in
       let n = hi + 1 in
       let sec = Section.make ~lo ~hi ~stride in
@@ -132,12 +144,12 @@ let prop_chaos_converges =
       let rates =
         { Fault_model.drop; duplicate = dup; reorder; corrupt; delay }
       in
-      let crashes = if crash && p > 1 then [ (lo mod p, 2) ] else [] in
+      let crashes = List.init crashes (fun i -> ((lo + i) mod p, nth)) in
       let fm = Fault_model.create ~rates ~max_delay:3 ~crashes ~seed () in
       let net = Network.create ~p in
       Network.set_faults net (Some fm);
       let dst = fresh_dst ~n ~p ~k:dk in
-      ignore (Executor.run ~net ~respawns:4 sched ~src ~dst : Network.t);
+      ignore (Executor.run ~net ~respawns sched ~src ~dst : Network.t);
       Darray.equal_contents legacy dst && Network.in_flight net = 0)
 
 let chaos_pair ~rates ?(crashes = []) ?(respawns = 0) ~seed () =
@@ -247,12 +259,12 @@ let test_corrupt_and_dup_are_dropped () =
       Tutil.check_bool "still = legacy" true
         (Darray.equal_contents legacy dst))
 
-let test_redistribute_degrades_to_legacy_fallback () =
-  (* Crash with no respawn budget on a non-aliasing run: [redistribute]
-     must absorb the Crash, fall back to the oracle exchange and record
-     it — never raise. *)
+let test_redistribute_replays_without_budget () =
+  (* Crashes with no respawn budget on a non-aliasing run: the executor
+     must absorb the Crash and finish the run from its packed buffers,
+     and record the replay — never raise. *)
   with_counters (fun () ->
-      let fb0 = Lams_obs.Obs.counter_value c_fallbacks in
+      let rp0 = Lams_obs.Obs.counter_value c_replays in
       let n = 600 in
       let sec = Section.make ~lo:0 ~hi:(n - 1) ~stride:1 in
       let src = init_src ~n ~p:4 ~k:8 in
@@ -268,16 +280,18 @@ let test_redistribute_degrades_to_legacy_fallback () =
         (Executor.redistribute ~net ~src ~src_section:sec ~dst
            ~dst_section:sec ()
           : Network.t);
-      Tutil.check_int "fallback recorded" (fb0 + 1)
-        (Lams_obs.Obs.counter_value c_fallbacks);
+      Tutil.check_int "replay recorded" (rp0 + 1)
+        (Lams_obs.Obs.counter_value c_replays);
       Tutil.check_int "crashed fabric left quiet" 0 (Network.in_flight net);
-      Tutil.check_bool "fallback result = legacy" true
+      Tutil.check_bool "replayed result = legacy" true
         (Darray.equal_contents legacy dst))
 
 let test_aliasing_crash_replays_in_run () =
-  (* src == dst (an in-array shift) with a crash and no respawns: the
-     legacy fallback would re-read overwritten memory, so the executor
-     finishes from the pre-packed buffers in-run instead. *)
+  (* src == dst (an in-array shift) with a crash and no respawns:
+     re-reading the source would see overwritten memory, so the
+     executor finishes from the pre-packed buffers in-run. *)
+  with_counters @@ fun () ->
+  let rp0 = Lams_obs.Obs.counter_value c_replays in
   let n = 200 in
   let expect = Array.init n (fun g -> float_of_int g) in
   let oracle = Array.copy expect in
@@ -296,6 +310,8 @@ let test_aliasing_crash_replays_in_run () =
       : Network.t);
   Tutil.check_bool "shift completed exactly" true
     (Darray.gather a = oracle);
+  Tutil.check_int "replay recorded" (rp0 + 1)
+    (Lams_obs.Obs.counter_value c_replays);
   Tutil.check_int "fabric quiet" 0 (Network.in_flight net)
 
 (* --- fabric hygiene --- *)
@@ -399,8 +415,8 @@ let suite =
       test_total_loss_downgrades_every_transfer;
     Alcotest.test_case "corrupt and duplicate copies are dropped" `Quick
       test_corrupt_and_dup_are_dropped;
-    Alcotest.test_case "redistribute degrades to the legacy fallback" `Quick
-      test_redistribute_degrades_to_legacy_fallback;
+    Alcotest.test_case "non-aliasing crash replays from packed buffers" `Quick
+      test_redistribute_replays_without_budget;
     Alcotest.test_case "aliasing crash replays from packed buffers" `Quick
       test_aliasing_crash_replays_in_run;
     Alcotest.test_case "executor purges the fabric when a round raises"

@@ -1,12 +1,12 @@
-(* The Bigarray data plane: Fbuf blit semantics, the blit executor
-   against its element-loop twin and the legacy oracle (differential,
-   sequential and domain-parallel, including descending sections and
-   aliasing shifts), copy-before-mutate under corrupt+duplicate faults,
-   the payload buffer pool's steady-state zero-allocation contract, the
-   access-accounting boundary (counted element ops vs raw bulk paths),
-   the C run kernels against a reference loop, and the congruent-group
-   kernels against a reference loop, a positional oracle and their
-   bounds. *)
+(* The Bigarray data plane: Fbuf blit semantics, the executor against
+   the legacy oracle (differential, sequential and domain-parallel,
+   including descending sections and aliasing shifts),
+   copy-before-mutate under corrupt+duplicate faults, the payload buffer
+   pool's steady-state zero-allocation contract (also at n = 200 000 in
+   three remap regimes), the access-accounting boundary (counted element
+   ops vs raw bulk paths), the C run kernels against a reference loop,
+   and the congruent-group kernels against a reference loop, a
+   positional oracle and their bounds. *)
 
 open Lams_util
 open Lams_dist
@@ -133,7 +133,7 @@ let test_pack_bounds () =
        (Tutil.pack_runs desc));
   check_pack_bounds desc ~short_run:0
 
-(* --- Differential: blit executor = element executor = legacy -------- *)
+(* --- Differential: executor = legacy ---------------------------------- *)
 
 let gen_redistribution =
   QCheck2.Gen.(
@@ -161,8 +161,8 @@ let sections_of (_, _, _, _, lo, count, stride, reversed) =
   (src_section, dst_section, hi + 1)
 
 let prop_blit_equals_elementwise_equals_legacy =
-  (* Both packings, sequential and domain-parallel, each on its own
-     fabric: one message per round transfer, never two in a mailbox. *)
+  (* Sequential and domain-parallel, each on its own fabric: one
+     message per round transfer, never two in a mailbox. *)
   Tutil.qtest "blit executor = element-loop executor = legacy copy"
     gen_redistribution ~print:print_redistribution
     (fun ((sp, sk, dp, dk, _, _, _, _) as case) ->
@@ -183,22 +183,21 @@ let prop_blit_equals_elementwise_equals_legacy =
         List.fold_left (fun acc r -> acc + List.length r) 0 sched.Schedule.rounds
       in
       List.for_all
-        (fun (packing, parallel) ->
+        (fun parallel ->
           let dst = fresh_dst ~n ~p:dp ~k:dk in
           let net =
-            Executor.redistribute ~packing ~parallel ~src ~src_section ~dst
+            Executor.redistribute ~parallel ~src ~src_section ~dst
               ~dst_section ()
           in
           Darray.equal_contents legacy dst
           && Network.messages_sent net = round_transfers
           && Network.max_congestion net <= 1)
-        [ (Executor.Blit, false); (Executor.Elementwise, false);
-          (Executor.Blit, true); (Executor.Elementwise, true) ])
+        [ false; true ])
 
 let prop_aliasing_shift_both_packings =
   (* A(dst_sec) = A(src_sec) with src == dst: packing must read
-     everything before any unpack writes, in both packing modes. A
-     source stride above 1 spreads the gather over several rounds. *)
+     everything before any unpack writes. A source stride above 1
+     spreads the gather over several rounds. *)
   Tutil.qtest "aliasing shift: blit = element-loop = positional oracle"
     QCheck2.Gen.(
       let* p = int_range 1 6 in
@@ -228,21 +227,15 @@ let prop_aliasing_shift_both_packings =
           ( Section.make ~lo:0 ~hi:src_hi ~stride,
             Section.make ~lo:delta ~hi:dst_hi ~stride:1 )
       in
-      let run packing =
-        let a = mk () in
-        ignore
-          (Executor.redistribute ~packing ~src:a ~src_section ~dst:a
-             ~dst_section ()
-            : Network.t);
-        Darray.gather a
-      in
-      let got_blit = run Executor.Blit in
-      let got_el = run Executor.Elementwise in
+      let a = mk () in
+      ignore
+        (Executor.redistribute ~src:a ~src_section ~dst:a ~dst_section ()
+          : Network.t);
       let want = Array.init n orig in
       for j = 0 to count - 1 do
         want.(Section.nth dst_section j) <- orig (Section.nth src_section j)
       done;
-      got_blit = want && got_el = want)
+      Darray.gather a = want)
 
 (* --- Chaos: corrupt + duplicate against the Fbuf payloads ----------- *)
 
@@ -323,6 +316,48 @@ let test_pool_steady_state_zero_allocations () =
       Tutil.check_int "steady state: zero payload allocations" 0 misses;
       Tutil.check_bool "pool retains the released bytes" true
         (Pool.retained_bytes () > 0))
+
+let c_grouped = Lams_obs.Obs.counter "sched.pack.grouped"
+
+(* Whole-array cyclic(k) -> cyclic(k') remaps at p = 8, n = 200 000:
+   coarse 512 -> 128, fine 64 -> 256 and scatter 1 -> 64 (p - 1
+   rounds, one-element destination blocks). After a warm-up, one run
+   takes every payload buffer from the pool, moves some congruent sides
+   through the group kernels (each regime has one block size dividing
+   the other), and delivers every element. *)
+let test_pool_contract_at_scale () =
+  let p = 8 and n = 200_000 in
+  let sec = Section.whole ~n in
+  List.iter
+    (fun (regime, k_src, k_dst) ->
+      let src = init_src ~n ~p ~k:k_src in
+      let sched =
+        Schedule.build ~src_layout:(Darray.layout src) ~src_section:sec
+          ~dst_layout:(Layout.create ~p ~k:k_dst) ~dst_section:sec
+      in
+      let transfers =
+        List.length sched.Schedule.locals
+        + List.fold_left (fun acc r -> acc + List.length r) 0
+            sched.Schedule.rounds
+      in
+      let net = Network.create ~p in
+      let run dst = ignore (Executor.run ~net sched ~src ~dst : Network.t) in
+      run (fresh_dst ~n ~p ~k:k_dst);
+      let dst = fresh_dst ~n ~p ~k:k_dst in
+      with_counters (fun () ->
+          let h0 = Lams_obs.Obs.counter_value c_pool_hits
+          and m0 = Lams_obs.Obs.counter_value c_pool_misses
+          and g0 = Lams_obs.Obs.counter_value c_grouped in
+          run dst;
+          Tutil.check_int (regime ^ ": every buffer a pool hit") transfers
+            (Lams_obs.Obs.counter_value c_pool_hits - h0);
+          Tutil.check_int (regime ^ ": no pool miss") 0
+            (Lams_obs.Obs.counter_value c_pool_misses - m0);
+          Tutil.check_bool (regime ^ ": sides moved in groups") true
+            (Lams_obs.Obs.counter_value c_grouped - g0 > 0));
+      Tutil.check_bool (regime ^ ": every element delivered") true
+        (Darray.equal_contents src dst))
+    [ ("coarse", 512, 128); ("fine", 64, 256); ("scatter", 1, 64) ]
 
 let test_pool_released_on_failure () =
   (* The executor releases its buffers even when the run raises (here:
@@ -504,8 +539,6 @@ let test_group_kernels () =
   done
 
 (* --- Executor with congruent groups against a positional oracle ------ *)
-
-let c_grouped = Lams_obs.Obs.counter "sched.pack.grouped"
 
 (* cyclic(ks) -> cyclic(ks * p * q) remaps: each source's sides to the
    destinations one of its blocks feeds are congruent plain runs, so
@@ -702,6 +735,8 @@ let suite =
       test_pool_steady_state_zero_allocations;
     Alcotest.test_case "pool: buffers released and reused across runs"
       `Quick test_pool_released_on_failure;
+    Alcotest.test_case "pool and group kernels at n = 200 000" `Quick
+      test_pool_contract_at_scale;
     Alcotest.test_case "accounting: counted ops vs raw bulk paths" `Quick
       test_accounting_boundary;
     Alcotest.test_case "run kernels = reference loop, short and long runs"

@@ -50,6 +50,17 @@ let gen_periods ~joint ~cap =
     let* partial = int_range 1 (max 1 (joint - 1)) in
     return (min cap ((periods * joint) + partial)))
 
+(* The element loops a side defines, one buffer cell at a time over
+   {!Pack.local_addresses}: cell [c] <-> local address [addrs.(c)]. *)
+let oracle_pack side ~data =
+  Lams_util.Fbuf.of_array
+    (Array.map (Lams_util.Fbuf.get data) (Pack.local_addresses side))
+
+let oracle_unpack side ~buf ~data =
+  Array.iteri
+    (fun c a -> Lams_util.Fbuf.set data a (Lams_util.Fbuf.get buf c))
+    (Pack.local_addresses side)
+
 (* [side] moves exactly what the element loops move, both ways, on a
    local store that holds the whole section. *)
 let kernels_agree ~layout ~section ~proc side =
@@ -59,18 +70,16 @@ let kernels_agree ~layout ~section ~proc side =
       ~proc
   in
   let data = Lams_util.Fbuf.init extent (fun a -> float_of_int (7 * a)) in
-  let buf = Lams_util.Fbuf.create side.Pack.elements
-  and buf_el = Lams_util.Fbuf.create side.Pack.elements in
+  let buf = Lams_util.Fbuf.create side.Pack.elements in
   Pack.pack side ~data ~buf;
-  Pack.pack_elementwise side ~data ~buf:buf_el;
-  if not (Lams_util.Fbuf.equal buf buf_el) then
-    QCheck2.Test.fail_report "pack <> pack_elementwise";
+  if not (Lams_util.Fbuf.equal buf (oracle_pack side ~data)) then
+    QCheck2.Test.fail_report "pack <> element loop";
   let back = Lams_util.Fbuf.init extent (fun _ -> -1.)
   and back_el = Lams_util.Fbuf.init extent (fun _ -> -1.) in
   Pack.unpack side ~buf ~data:back;
-  Pack.unpack_elementwise side ~buf ~data:back_el;
+  oracle_unpack side ~buf ~data:back_el;
   if not (Lams_util.Fbuf.equal back back_el) then
-    QCheck2.Test.fail_report "unpack <> unpack_elementwise"
+    QCheck2.Test.fail_report "unpack <> element loop"
 
 let init_src ~n ~p ~k =
   Darray.of_array ~name:"ss" ~p ~dist:(Distribution.Block_cyclic k)
@@ -157,10 +166,10 @@ let unpack_floats side ~buf ~data =
     (Pack.blocks side)
 
 (* Both section strides (descending → step = -1 blocks, ascending →
-   step = 1), each across all three marshalling paths: the run-kernel
-   Fbuf path, its element-at-a-time twin, and the legacy [float array]
-   oracle with the hoisted-bounds reversed loop. All must agree with the
-   positional address oracle and with each other. *)
+   step = 1), each across three marshalling paths: the run-kernel Fbuf
+   path, the element loop over {!Pack.local_addresses}, and the legacy
+   [float array] oracle with the hoisted-bounds reversed loop. All must
+   agree with the positional address oracle and with each other. *)
 let pack_roundtrip ~section ~n =
   let layout = Layout.create ~p:3 ~k:4 in
   let cs =
@@ -190,12 +199,10 @@ let pack_roundtrip ~section ~n =
       let data = Lams_util.Fbuf.of_array data_f in
       let buf = Lams_util.Fbuf.create side.Pack.elements in
       Pack.pack side ~data ~buf;
-      let buf_el = Lams_util.Fbuf.create side.Pack.elements in
-      Pack.pack_elementwise side ~data ~buf:buf_el;
       let buf_f = Array.make side.Pack.elements 0. in
       pack_floats side ~data:data_f ~buf:buf_f;
-      Tutil.check_bool "blit pack = elementwise pack" true
-        (Lams_util.Fbuf.equal buf buf_el);
+      Tutil.check_bool "blit pack = element-loop pack" true
+        (Lams_util.Fbuf.equal buf (oracle_pack side ~data));
       Tutil.check_bool "blit pack = float-array pack" true
         (Lams_util.Fbuf.equal buf (Lams_util.Fbuf.of_array buf_f));
       let back = Lams_util.Fbuf.init extent (fun _ -> -1.) in

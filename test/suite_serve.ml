@@ -835,9 +835,24 @@ let within secs f =
   in
   wait ()
 
+(* The process's thread count, read once it has held still for about
+   100 ms (threads of an earlier test's stopped server, or of the
+   runtime, may still be exiting), or after 5 s at the latest. *)
 let thread_count () =
-  if Sys.file_exists "/proc/self/task" then
-    Some (Array.length (Sys.readdir "/proc/self/task"))
+  if Sys.file_exists "/proc/self/task" then begin
+    let read () = Array.length (Sys.readdir "/proc/self/task") in
+    let deadline = Unix.gettimeofday () +. 5. in
+    let rec settle n since =
+      let now = Unix.gettimeofday () in
+      if now -. since >= 0.1 || now > deadline then n
+      else begin
+        Thread.delay 0.01;
+        let n' = read () in
+        if n' = n then settle n since else settle n' (Unix.gettimeofday ())
+      end
+    in
+    Some (settle (read ()) (Unix.gettimeofday ()))
+  end
   else None
 
 let raw_connect path =

@@ -482,35 +482,6 @@ let prop_md_comm_partition =
         sched.Md_comm.transfers;
       !covered = c0 * c1)
 
-let prop_copy_scheduled_equals_copy =
-  Tutil.qtest ~count:80 "copy_scheduled produces identical contents to copy"
-    QCheck2.Gen.(
-      let* p1 = int_range 1 5 and* p2 = int_range 1 5 in
-      let* k1 = int_range 1 7 and* k2 = int_range 1 7 in
-      let* count = int_range 1 25 in
-      let* s1 = int_range 1 5 and* s2 = int_range 1 5 in
-      let* rev = bool in
-      return (p1, k1, p2, k2, count, s1, s2, rev))
-    (fun (p1, k1, p2, k2, count, s1, s2, rev) ->
-      let n1 = 1 + (s1 * count) and n2 = 1 + (s2 * count) in
-      let values = Array.init n1 (fun g -> float_of_int ((g * 7) + 1)) in
-      let src_section = Section.make ~lo:0 ~hi:(s1 * (count - 1)) ~stride:s1 in
-      let dst_section =
-        if rev then Section.make ~lo:(s2 * (count - 1)) ~hi:0 ~stride:(-s2)
-        else Section.make ~lo:0 ~hi:(s2 * (count - 1)) ~stride:s2
-      in
-      let run copier =
-        let src =
-          Darray.of_array ~name:"B" ~p:p1 ~dist:(Distribution.Block_cyclic k1) values
-        in
-        let dst =
-          Darray.create ~name:"A" ~n:n2 ~p:p2 ~dist:(Distribution.Block_cyclic k2)
-        in
-        let _ = copier ~src ~src_section ~dst ~dst_section () in
-        Darray.gather dst
-      in
-      run (Section_ops.copy ?net:None) = run (Section_ops.copy_scheduled ?net:None))
-
 let prop_comm_sets_match_brute =
   Tutil.qtest ~count:100 "comm sets = brute enumeration"
     QCheck2.Gen.(
@@ -579,29 +550,6 @@ let prop_comm_sets_build_equals_crt =
       Comm_sets.build ~src_layout ~src_section ~dst_layout ~dst_section
       = Comm_sets.build_crt ~src_layout ~src_section ~dst_layout ~dst_section)
 
-let test_comm_sets_by_src () =
-  let src_layout = Layout.create ~p:3 ~k:5
-  and dst_layout = Layout.create ~p:4 ~k:2 in
-  let cs =
-    Comm_sets.build ~src_layout
-      ~src_section:(Section.make ~lo:0 ~hi:95 ~stride:5)
-      ~dst_layout
-      ~dst_section:(Section.make ~lo:57 ~hi:0 ~stride:(-3))
-  in
-  let by_src = Comm_sets.by_src cs ~p_src:3 in
-  Tutil.check_int "slots" 3 (Array.length by_src);
-  (* Concatenating the slots in rank order recovers the transfer list
-     exactly: grouping loses neither transfers nor their order. *)
-  Tutil.check_bool "regrouped = original" true
-    (List.concat (Array.to_list by_src) = cs.Comm_sets.transfers);
-  Array.iteri
-    (fun m trs ->
-      List.iter
-        (fun (tr : Comm_sets.transfer) ->
-          Tutil.check_int "right slot" m tr.Comm_sets.src_proc)
-        trs)
-    by_src
-
 let suite =
   [ Alcotest.test_case "local store" `Quick test_local_store;
     Alcotest.test_case "comm sets: mixed layouts + reversal" `Quick
@@ -613,9 +561,6 @@ let suite =
     Alcotest.test_case "comm sets: validation" `Quick test_comm_sets_errors;
     prop_comm_sets_match_brute;
     prop_comm_sets_build_equals_crt;
-    Alcotest.test_case "comm sets: by_src regroups losslessly" `Quick
-      test_comm_sets_by_src;
-    prop_copy_scheduled_equals_copy;
     Alcotest.test_case "md comm sets vs brute (mixed grids + reversal)" `Quick
       test_md_comm_matches_brute;
     Alcotest.test_case "md comm conformance" `Quick test_md_comm_conformance;
@@ -623,11 +568,11 @@ let suite =
     Alcotest.test_case "network mailboxes" `Quick test_network;
     Alcotest.test_case "network link + congestion accounting" `Quick
       test_network_link_accounting;
-    Alcotest.test_case "darray global ops (Figure 1 placement)" `Quick
-      test_darray_global_ops;
     Alcotest.test_case "scatter/gather roundtrip" `Quick
       test_darray_of_array_gather;
     Alcotest.test_case "spmd timing" `Quick test_spmd_timing;
+    Alcotest.test_case "darray global ops (Figure 1 placement)" `Quick
+      test_darray_global_ops;
     Alcotest.test_case "spmd parallel domains" `Quick test_spmd_parallel;
     Alcotest.test_case "spmd pool reuse + error propagation" `Quick
       test_spmd_pool_reuse;
