@@ -2,7 +2,7 @@
 
 .PHONY: all check test bench bench-json bench-inspector-quick smoke \
 	fuzz-quick chaos-quick native-quick serve-quick adaptive-quick \
-	bench-e2e bench-compare bench-pairs doc clean
+	paper-checks bench-e2e bench-compare bench-pairs doc clean
 
 all:
 	dune build @all
@@ -13,8 +13,11 @@ test:
 # CI entry point: full build, full test suite, then the metrics smoke
 # (an instrumented `lams metrics` / `lams verify --metrics` run, see
 # bin/dune) so the observability path is exercised end to end, the
-# quick differential fuzz campaign (bin/dune @fuzz), and the quick
-# chaos runs (bin/dune @chaos: scheduled-under-faults vs legacy).
+# quick differential fuzz campaign (bin/dune @fuzz), the quick
+# chaos runs (bin/dune @chaos: scheduled-under-faults vs legacy), and
+# the paper's evaluation as checks (bench/dune @table1 @table2). Those
+# last two, like @inspector, time code: run `make check` on an
+# otherwise idle machine.
 check:
 	dune build @all
 	dune runtest
@@ -25,6 +28,18 @@ check:
 	dune build @inspector
 	dune build @serve
 	dune build @adaptive
+	dune build @table1
+	dune build @table2
+
+# The paper's Table 1 and Table 2 verdicts, quick form: every cell
+# repeated with its algorithms (or shapes) interleaved, and the ratio's
+# lower quartile asserted (Sorting/Lattice > 1 for k >= 16; 8(a) over
+# the best test-based shape >= 3). One alias at a time: two timing
+# checks must not share the cores. The full form is
+# `dune exec bench/main.exe -- table1 --check` (and table2).
+paper-checks:
+	dune build @table1
+	dune build @table2
 
 smoke:
 	dune build @smoke

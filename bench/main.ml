@@ -3,14 +3,16 @@
    benches; individual experiments can be selected by name.
 
    Flags: --json FILE (amortize JSON output), --quick (reduced
-   parameters, used by `make bench-json`). *)
+   parameters, used by `make bench-json`), --check (table1 and table2:
+   repeat every cell, assert the paper's verdict on the quartiles of
+   in-run ratios, exit 1 if it fails). *)
 
 let usage () =
   print_endline
     "usage: bench/main.exe [table1 | figure7 | table2 | ablations | amortize \
      | inspector | chaos | adaptive | codegen | serve | bechamel | all] \
-     [--quick] [--json FILE]";
-  print_endline "  (no experiment = all)"
+     [--quick] [--json FILE] [--check]";
+  print_endline "  (no experiment = all; --check applies to table1 and table2)"
 
 let run_table1_and_figure7 () =
   let rows = Table1.run () in
@@ -19,11 +21,14 @@ let run_table1_and_figure7 () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let quick = ref false and json = ref None in
+  let quick = ref false and json = ref None and check = ref false in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--quick" :: rest ->
         quick := true;
+        parse acc rest
+    | "--check" :: rest ->
+        check := true;
         parse acc rest
     | "--json" :: file :: rest ->
         json := Some file;
@@ -45,6 +50,10 @@ let () =
   List.iter
     (fun name ->
       match String.lowercase_ascii name with
+      | "table1" when !check ->
+          if not (Table1.check ~quick:!quick) then exit 1
+      | "table2" when !check ->
+          if not (Table2.check ~quick:!quick) then exit 1
       | "table1" -> ignore (Table1.run () : Table1.row list)
       | "figure7" -> run_table1_and_figure7 ()
       | "table2" -> ignore (Table2.run () : Table2.row list)

@@ -18,7 +18,10 @@ let upper_bound ~s =
   Config.lower_bound
   + (s * ((Config.processors * Config.table2_accesses_per_proc) - 1))
 
-let measure_row ~k ~s =
+(* Plans for every processor of a row, and one reusable local store:
+   processors run one after another, so peak host memory stays one
+   node's worth. *)
+let prepare ~k ~s =
   let pr = problem ~k ~s in
   let u = upper_bound ~s in
   let plans = Array.init Config.processors (fun m -> Plan.build pr ~m ~u) in
@@ -30,33 +33,34 @@ let measure_row ~k ~s =
         | Some p -> max acc (Plan.local_extent_needed p))
       0 plans
   in
-  (* One reusable local store: processors run one after another, so peak
-     host memory stays one node's worth. *)
-  let mem = Fbuf.create max_extent in
-  let per_shape =
-    List.map
-      (fun shape ->
-        let worst = ref 0. in
-        for m = 0 to Config.processors - 1 do
-          match plans.(m) with
-          | None -> ()
-          | Some plan ->
-              (* Warm-up run, then best of repeated small batches. *)
-              Shapes.assign shape plan mem 100.;
-              let inner = Config.traversal_inner in
-              let us =
-                Timer.best_of ~repeats:Config.traversal_repeats (fun () ->
-                    for _ = 1 to inner do
-                      Shapes.assign shape plan mem 100.
-                    done)
-                /. float_of_int inner
-              in
-              if us > !worst then worst := us
-        done;
-        (shape, !worst))
-      Shapes.all
-  in
-  { k; s; per_shape }
+  (plans, Fbuf.create max_extent)
+
+(* One timing of a shape: per processor a warm-up run, then the best of
+   [Config.traversal_repeats] batches of [Config.traversal_inner] runs;
+   the max over processors. *)
+let time_shape (plans, mem) shape =
+  let inner = Config.traversal_inner in
+  let worst = ref 0. in
+  Array.iter
+    (function
+      | None -> ()
+      | Some plan ->
+          Shapes.assign shape plan mem 100.;
+          let us =
+            Timer.best_of ~repeats:Config.traversal_repeats (fun () ->
+                for _ = 1 to inner do
+                  Shapes.assign shape plan mem 100.
+                done)
+            /. float_of_int inner
+          in
+          if us > !worst then worst := us)
+    plans;
+  !worst
+
+let measure_row ~k ~s =
+  let row = prepare ~k ~s in
+  { k; s;
+    per_shape = List.map (fun shape -> (shape, time_shape row shape)) Shapes.all }
 
 let measure_rows () =
   List.concat_map
@@ -88,3 +92,63 @@ let run () =
   let rows = measure_rows () in
   print_string (render rows);
   rows
+
+(* --- The checked form ----------------------------------------------
+
+   Every row is timed [reps] times with the four shapes interleaved
+   inside each repetition, and each repetition yields one ratio: 8(a)
+   over the best of 8(b)/(c)/(d). A drift of the host's speed hits both
+   sides of a ratio alike, so the check asserts on the ratio's lower
+   quartile: the paper's "very poor performance of the code that uses
+   mod operations", as at least [min_ratio]. *)
+
+let min_ratio = 3.
+
+let check ~quick =
+  let reps = if quick then 7 else 11 in
+  Printf.printf
+    "=== Table 2 check: 8(a) / best of 8(b)-(d), %d interleaved repetitions \
+     (us: medians) ===\n"
+    reps;
+  let t =
+    Ascii_table.create
+      ([ "k"; "s" ] @ List.map Shapes.name Shapes.all
+      @ [ "ratio q1"; "median"; "q3"; Printf.sprintf ">= %.0f" min_ratio ])
+  in
+  let ok = ref true and last_k = ref (-1) in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun s ->
+          let row = prepare ~k ~s in
+          let shapes = Array.of_list Shapes.all in
+          let us = Array.map (fun _ -> Array.make reps 0.) shapes in
+          let ratio =
+            Array.init reps (fun r ->
+                Array.iteri
+                  (fun i shape -> us.(i).(r) <- time_shape row shape)
+                  shapes;
+                us.(0).(r)
+                /. Float.min us.(1).(r) (Float.min us.(2).(r) us.(3).(r)))
+          in
+          let q1, q2, q3 = Stat.quartiles ratio in
+          let pass = q1 >= min_ratio in
+          if not pass then begin
+            ok := false;
+            Printf.eprintf
+              "table2 check: k=%d s=%d: 8(a)/best q1 %.2f < %.0f\n%!" k s q1
+              min_ratio
+          end;
+          if !last_k >= 0 && k <> !last_k then Ascii_table.add_separator t;
+          last_k := k;
+          Ascii_table.add_row t
+            ([ string_of_int k; string_of_int s ]
+            @ Array.to_list
+                (Array.map (fun xs -> Printf.sprintf "%.1f" (Stat.median xs)) us)
+            @ [ Printf.sprintf "%.2f" q1; Printf.sprintf "%.2f" q2;
+                Printf.sprintf "%.2f" q3; (if pass then "ok" else "FAIL") ]))
+        Config.table2_strides)
+    Config.table2_block_sizes;
+  print_string (Ascii_table.render t);
+  print_endline (if !ok then "table2 check: ok" else "table2 check: FAILED");
+  !ok

@@ -61,19 +61,41 @@ let canonicalize pr ~u =
 
 let build_entry pr ~u =
   let p = pr.Problem.p in
-  let tables, fsms =
-    match Shared_fsm.build pr with
-    | Some shared ->
-        (* d < k: every window is non-empty; one shared fill, p replays. *)
-        ( Array.init p (fun m -> Shared_fsm.gap_table shared ~m),
-          Array.init p (fun m -> Some (Shared_fsm.fsm_for shared ~m)) )
-    | None ->
-        (* d >= k: the per-processor paths already short-circuit to
-           closed forms, so there is nothing to share. *)
-        ( Array.init p (fun m -> Kns.gap_table pr ~m),
-          Array.init p (fun m -> Fsm.build pr ~m) )
-  in
-  let lasts = Array.init p (fun m -> Start_finder.last_location pr ~m ~u) in
+  let tables = Array.make p Access_table.empty
+  and fsms = Array.make p None
+  and lasts = Array.make p None in
+  (match Shared_fsm.build pr with
+  | Some shared ->
+      (* d < k: every window is non-empty; one shared fill, and per
+         processor one window scan and one replay. *)
+      for m = 0 to p - 1 do
+        let found, last = Start_finder.find_bounded pr ~m ~u in
+        let table, fsm = Shared_fsm.replay shared found in
+        tables.(m) <- table;
+        fsms.(m) <- Some fsm;
+        lasts.(m) <- last
+      done
+  | None ->
+      (* d >= k: a window holds at most one reachable offset, a fixed
+         point whose gap k·s/d is the same on every processor, so one
+         k-entry table pair, filled at the offsets in use, serves all
+         of them. *)
+      let k = pr.Problem.k in
+      let delta = Array.make k Fsm.unreachable_delta
+      and next_offset = Array.make k (-1) in
+      for m = 0 to p - 1 do
+        let table = Kns.gap_table pr ~m in
+        tables.(m) <- table;
+        lasts.(m) <- Start_finder.last_location pr ~m ~u;
+        match table.Access_table.start with
+        | None -> ()
+        | Some g ->
+            let o = g mod k in
+            delta.(o) <- table.Access_table.gaps.(0);
+            next_offset.(o) <- o;
+            fsms.(m) <-
+              Some { Fsm.start_offset = o; delta; next_offset; length = 1 }
+      done);
   { tables; fsms; lasts }
 
 let default_capacity = 64

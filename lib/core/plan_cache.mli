@@ -53,9 +53,18 @@ val canonicalize : Problem.t -> u:int -> Problem.t * int * int * int
     deltas. *)
 
 val build_entry : Problem.t -> u:int -> entry
-(** Build the whole-machine plan for an (already canonical) problem —
-    the generalized shared FSM when [d < k], per-processor tables
-    otherwise. Pure; does not touch the process-wide cache. *)
+(** Build the whole-machine plan for an (already canonical) problem.
+    Pure; does not touch the process-wide cache.
+
+    When [d < k]: the generalized shared FSM, and per processor one
+    window scan ({!Start_finder.find_bounded}: start, period length and
+    last location together) from which {!Shared_fsm.replay} derives both
+    the gap table and the FSM view. When [d >= k]: per-processor
+    [Kns.gap_table]s, and one [k]-entry delta/next pair shared by every
+    processor, since each window then holds at most one reachable
+    offset, a fixed point with the same gap [k·s/d] on every processor.
+    So a miss allocates [O(k + p·⌈k/d⌉)] words either way, never [2·p·k]
+    of per-processor FSM tables. *)
 
 val view_of_entry : entry -> g_shift:int -> local_shift:int -> view
 (** Rebase an entry with the deltas from {!canonical_key} ([0]/[0] for a
@@ -73,7 +82,10 @@ val table : view -> m:int -> Access_table.t
 val fsm : view -> m:int -> Fsm.t option
 (** Processor [m]'s offset-indexed FSM ([None] only in the [d >= k]
     regime when the processor owns nothing). Offsets are shift-invariant,
-    so this needs no rebasing. *)
+    so this needs no rebasing. The tables are shared by all processors
+    and may hold valid entries at offsets this processor never visits
+    (other residue classes when [d < k], other processors' fixed points
+    when [d >= k]). *)
 
 val last_location : view -> m:int -> int option
 (** Largest owned section element [<= u], as [Start_finder.last_location]. *)

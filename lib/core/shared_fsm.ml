@@ -84,12 +84,15 @@ let start t ~m =
   | Some g -> (g, g mod t.problem.Problem.k)
   | None -> empty_window_error "Shared_fsm.start"
 
-let gap_table t ~m =
-  Lams_obs.Obs.incr c_tables;
-  let { Start_finder.start; length } = Start_finder.find t.problem ~m in
-  match start with
-  | None -> empty_window_error "Shared_fsm.gap_table"
+(* Processor m's gap table and FSM view from its window scan: fill its
+   class, then replay the shared tables from its start state. Every
+   per-processor accessor derives through here. *)
+let replay t (found : Start_finder.t) =
+  match found.start with
+  | None -> empty_window_error "Shared_fsm.replay"
   | Some g ->
+      Lams_obs.Obs.incr c_tables;
+      let length = found.length in
       let state0 = g mod t.problem.Problem.k in
       fill_class t (state0 mod t.d);
       let gaps = Array.make length 0 in
@@ -99,19 +102,14 @@ let gap_table t ~m =
         state := t.next_offset.(!state)
       done;
       let lay = Problem.layout t.problem in
-      { Access_table.start = Some g;
-        start_local = Some (Lams_dist.Layout.local_address lay g);
-        length;
-        gaps }
+      ( { Access_table.start = Some g;
+          start_local = Some (Lams_dist.Layout.local_address lay g);
+          length;
+          gaps },
+        { Fsm.start_offset = state0;
+          delta = t.delta;
+          next_offset = t.next_offset;
+          length } )
 
-let fsm_for t ~m =
-  let { Start_finder.start; length } = Start_finder.find t.problem ~m in
-  match start with
-  | None -> empty_window_error "Shared_fsm.fsm_for"
-  | Some g ->
-      let state0 = g mod t.problem.Problem.k in
-      fill_class t (state0 mod t.d);
-      { Fsm.start_offset = state0;
-        delta = t.delta;
-        next_offset = t.next_offset;
-        length }
+let gap_table t ~m = fst (replay t (Start_finder.find t.problem ~m))
+let fsm_for t ~m = snd (replay t (Start_finder.find t.problem ~m))

@@ -40,14 +40,23 @@ val start : t -> m:int -> int * int
 (** [(global start element, start state)] for a processor — the only
     per-processor work left. *)
 
+val replay : t -> Start_finder.t -> Access_table.t * Fsm.t
+(** [replay t found] is one processor's gap table and FSM view, given
+    its {!Start_finder} result [found] (as {!gap_table} and {!fsm_for}
+    would return them): the class fill it needs, then one replay of the
+    shared tables from its start state. A caller that scans the window
+    itself, as {!Plan_cache.build_entry} does, pays no second scan.
+    @raise Invalid_argument if [found] holds no start. *)
+
 val gap_table : t -> m:int -> Access_table.t
 (** Processor [m]'s table, derived by replaying the shared FSM from its
     start state: no extended Euclid, no Diophantine scan, no basis
     construction, no Theorem 3 branching per processor. Identical to
-    [Kns.gap_table] (tested across all [d] regimes). *)
+    [Kns.gap_table] (tested across all [d] regimes). [fst] of {!replay}
+    on [Start_finder.find]. *)
 
 val fsm_for : t -> m:int -> Fsm.t
 (** The shared tables repackaged with processor [m]'s start state —
     directly consumable by code shape 8(d). The [delta]/[next_offset]
     arrays are shared with [t] (and with every other processor's view):
-    treat them as read-only. *)
+    treat them as read-only. [snd] of {!replay} on [Start_finder.find]. *)

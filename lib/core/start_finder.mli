@@ -30,5 +30,11 @@ val last_location : Problem.t -> m:int -> u:int -> int option
     determined by the upper bound, §2), or [None] if the processor owns
     nothing in [\[l, u\]]. *)
 
+val find_bounded : Problem.t -> m:int -> u:int -> t * int option
+(** [find_bounded pr ~m ~u] is [(find pr ~m, last_location pr ~m ~u)]
+    from one scan of the window: what a whole-machine plan needs per
+    processor. It is the one scan behind both: {!find} is its first
+    half at [u = l - 1], {!last_location} its second. *)
+
 val count_owned : Problem.t -> m:int -> u:int -> int
 (** Number of owned section elements in [\[l, u\]]. *)

@@ -361,16 +361,10 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
           raise e));
   net
 
-let check_section (a : Darray.t) sec =
-  if Section.is_empty sec then invalid_arg "Executor: empty section";
-  let norm = Section.normalize sec in
-  if norm.Section.lo < 0 || norm.Section.hi >= Darray.size a then
-    invalid_arg "Executor: section outside the array"
-
 let redistribute ?net ?parallel ?reliable ?respawns ?adaptive ~src
     ~src_section ~dst ~dst_section () =
-  check_section src src_section;
-  check_section dst dst_section;
+  Section_ops.check_section src src_section;
+  Section_ops.check_section dst dst_section;
   if Section.count src_section <> Section.count dst_section then
     invalid_arg "Executor.redistribute: section element counts differ";
   (* The cache stays cost-blind: entries are canonical unweighted

@@ -222,8 +222,9 @@ let run_collect ~p ~f =
    executor's phases are: packing rewrites the same buffers, resends
    are absorbed by the reliable protocol's sequence-number dedup. The
    respawn budget is shared across the whole job (an [Atomic]), so a
-   crash storm cannot loop forever: once it is spent, the [Crash]
-   propagates and the caller walks down the degradation ladder. *)
+   crash storm cannot loop forever: once it is spent (or when there is
+   none), the [Crash] is counted as exhausted and propagates to the
+   caller, whose executor finishes the run from its packed buffers. *)
 
 exception Crash of int
 
@@ -243,36 +244,39 @@ let c_respawns =
 
 let c_exhausted =
   Lams_obs.Obs.counter "spmd.recovery.exhausted" ~units:"crashes"
-    ~doc:"crashes surfaced because the respawn budget was spent"
+    ~doc:"crashes surfaced because the respawn budget was spent or absent"
+
+(* Take one respawn from the budget, if there is one. fetch_and_add may
+   briefly overdraw under parallel crash storms; the restore keeps the
+   budget non-negative and the overdraw only means one extra respawn,
+   never an unbounded loop. *)
+let respawn = function
+  | None -> false
+  | Some b ->
+      Atomic.fetch_and_add b (-1) > 0
+      || begin
+           Atomic.incr b;
+           false
+         end
 
 let run_protected ?budget ?(parallel = false) ~p f =
   check_p p;
-  let g =
-    match budget with
-    | None -> f
-    | Some b ->
-        fun m ->
-          let rec attempt () =
-            try f m
-            with Crash _ as e ->
-              Lams_obs.Obs.incr c_crashes;
-              (* fetch_and_add may briefly overdraw under parallel crash
-                 storms; the restore keeps the budget non-negative and
-                 the overdraw only means one extra respawn, never an
-                 unbounded loop. *)
-              if Atomic.fetch_and_add b (-1) > 0 then begin
-                Lams_obs.Obs.incr c_respawns;
-                attempt ()
-              end
-              else begin
-                Atomic.incr b;
-                Lams_obs.Obs.incr c_exhausted;
-                raise e
-              end
-          in
-          attempt ()
+  (* Every crash is counted, with or without a budget: a run given none
+     still sees its crashes in [spmd.recovery.*], each one exhausted. *)
+  let rec attempt m =
+    try f m
+    with Crash _ as e ->
+      Lams_obs.Obs.incr c_crashes;
+      if respawn budget then begin
+        Lams_obs.Obs.incr c_respawns;
+        attempt m
+      end
+      else begin
+        Lams_obs.Obs.incr c_exhausted;
+        raise e
+      end
   in
-  if parallel then run_parallel ~p g else run ~p ~f:g
+  if parallel then run_parallel ~p attempt else run ~p ~f:attempt
 
 let barrier_phases ~p ~phases =
   check_p p;

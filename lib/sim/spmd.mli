@@ -72,7 +72,9 @@ val run_protected :
 (** {!run} (or {!run_parallel} with [~parallel:true]) with crash
     recovery: a rank raising [Crash] is re-run while [budget] lasts;
     with the budget spent (or absent) the [Crash] propagates like any
-    other exception. Non-[Crash] exceptions are never retried. *)
+    other exception. Non-[Crash] exceptions are never retried. Every
+    [Crash] counts in [spmd.recovery.crashes], and every one that
+    propagates in [spmd.recovery.exhausted], budget or not. *)
 
 val barrier_phases : p:int -> phases:(int -> unit) list -> unit
 (** Run a list of phases with an (implicit) global barrier between them:

@@ -28,8 +28,8 @@ let length = Bigarray.Array1.dim
 let get (t : t) i = Bigarray.Array1.get t i
 let set (t : t) i v = Bigarray.Array1.set t i v
 
-let unsafe_get (t : t) i = Bigarray.Array1.unsafe_get t i
-let unsafe_set (t : t) i v = Bigarray.Array1.unsafe_set t i v
+external unsafe_get : t -> int -> float = "%caml_ba_unsafe_ref_1"
+external unsafe_set : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 
 let fill (t : t) v = Bigarray.Array1.fill t v
 

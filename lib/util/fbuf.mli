@@ -24,8 +24,15 @@ val length : t -> int
 val get : t -> int -> float
 val set : t -> int -> float -> unit
 
-val unsafe_get : t -> int -> float
-val unsafe_set : t -> int -> float -> unit
+external unsafe_get : t -> int -> float = "%caml_ba_unsafe_ref_1"
+external unsafe_set : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
+(** Unchecked element access. Declared [external] on the primitive, not
+    as a [let] over [Bigarray.Array1.unsafe_get]/[unsafe_set]: dune's
+    dev profile compiles with [-opaque], which stops [ocamlopt] from
+    inlining a [let] across libraries, so every store of a
+    [Shapes.assign_*] kernel would be an out-of-line call. A primitive
+    in the interface is expanded at each call site into one unboxed
+    load or store, whatever the profile. *)
 
 val fill : t -> float -> unit
 

@@ -289,9 +289,13 @@ let test_redistribute_replays_without_budget () =
 let test_aliasing_crash_replays_in_run () =
   (* src == dst (an in-array shift) with a crash and no respawns:
      re-reading the source would see overwritten memory, so the
-     executor finishes from the pre-packed buffers in-run. *)
+     executor finishes from the pre-packed buffers in-run. With no
+     budget the crash still shows in [spmd.recovery.*]: counted, and
+     let through as exhausted. *)
   with_counters @@ fun () ->
-  let rp0 = Lams_obs.Obs.counter_value c_replays in
+  let rp0 = Lams_obs.Obs.counter_value c_replays
+  and cr0 = Lams_obs.Obs.counter_value c_crashes
+  and ex0 = Lams_obs.Obs.counter_value c_exhausted in
   let n = 200 in
   let expect = Array.init n (fun g -> float_of_int g) in
   let oracle = Array.copy expect in
@@ -312,6 +316,10 @@ let test_aliasing_crash_replays_in_run () =
     (Darray.gather a = oracle);
   Tutil.check_int "replay recorded" (rp0 + 1)
     (Lams_obs.Obs.counter_value c_replays);
+  Tutil.check_int "crash counted" (cr0 + 1)
+    (Lams_obs.Obs.counter_value c_crashes);
+  Tutil.check_int "crash exhausted" (ex0 + 1)
+    (Lams_obs.Obs.counter_value c_exhausted);
   Tutil.check_int "fabric quiet" 0 (Network.in_flight net)
 
 (* --- fabric hygiene --- *)

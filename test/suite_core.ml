@@ -470,6 +470,33 @@ let test_plan_cache_canonicalization () =
           (Plan_cache.last_location v2 ~m)
       done)
 
+(* --- The plan-cache miss path --- *)
+
+let words_allocated f =
+  let before = Gc.allocated_bytes () in
+  f ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+let test_build_entry_allocation () =
+  (* d = gcd(s, pk) = pk >= k: each window holds one fixed point, so a
+     miss needs O(k + p) words, not one k-entry FSM pair per processor
+     (2·p·k = 64 000 words here). Metrics stay off: a recording
+     distribution would allocate too. *)
+  let p = 32 and k = 1000 in
+  let pr = Problem.make ~p ~k ~l:0 ~s:32_000 in
+  let u = 1_000_000 in
+  let build () = ignore (Sys.opaque_identity (Plan_cache.build_entry pr ~u)) in
+  let was = Lams_obs.Obs.enabled () in
+  Lams_obs.Obs.set_enabled false;
+  let words =
+    Fun.protect ~finally:(fun () -> Lams_obs.Obs.set_enabled was) (fun () ->
+        build ();
+        words_allocated build)
+  in
+  let bound = 4 * (k + p) in
+  if words > float_of_int bound then
+    Alcotest.failf "build_entry allocated %.0f words, bound %d" words bound
+
 let test_indexed_random_access () =
   let t = Kns.gap_table paper_problem ~m:1 in
   let it = Access_table.index t in
@@ -618,4 +645,6 @@ let suite =
     prop_theorem3_steps;
     prop_validate_instances;
     prop_differential_random_seeds;
-    prop_negative_stride_normalisation ]
+    prop_negative_stride_normalisation;
+    Alcotest.test_case "d >= k miss allocates O(k + p) words" `Quick
+      test_build_entry_allocation ]
