@@ -14,8 +14,6 @@ let floor_div a b =
 
 let ceil_div a b = -floor_div (-a) b
 
-let in_range ~lo ~hi x = lo <= x && x < hi
-
 let pow b e =
   if e < 0 then invalid_arg "Modular.pow: negative exponent";
   let rec go acc b e =

@@ -20,9 +20,6 @@ val floor_div : int -> int -> int
 val ceil_div : int -> int -> int
 (** Quotient rounded toward positive infinity. *)
 
-val in_range : lo:int -> hi:int -> int -> bool
-(** [in_range ~lo ~hi x] is [lo <= x && x < hi] (half-open). *)
-
 val pow : int -> int -> int
 (** [pow b e] for [e >= 0] by binary exponentiation (no overflow check).
     @raise Invalid_argument on negative exponent. *)

@@ -28,36 +28,51 @@ let c_replans =
    run is dropped instead of misdelivered. *)
 let run_counter = Atomic.make 1
 
+(* A newest-first list of (side, buffer) pairs as the two arrays a
+   phase moves, oldest first: filled back to front, so no reversed list
+   is built. *)
+let oldest_first = function
+  | [] -> ([||], [||])
+  | (side, buf) :: _ as l ->
+      let n = List.length l in
+      let sides = Array.make n side and bufs = Array.make n buf in
+      List.iteri
+        (fun i (s, b) ->
+          sides.(n - 1 - i) <- s;
+          bufs.(n - 1 - i) <- b)
+        l;
+      (sides, bufs)
+
 (* Execute a schedule, processor-major: in every phase rank [m] touches
    only its own store, buffers and mailbox. One pack phase has each
    source gather all its outgoing buffers — all the reads — before any
-   delivery writes, so [src] and [dst] may alias (overlapping in-array
-   shifts), exactly like the legacy two-phase exchange. Each round is a
-   send phase (post one pre-packed message per transfer, tag = round
-   index) and a recv phase (drain, and file each payload under its
-   receiver) with a barrier between them. Rounds are contention-free,
-   so within a round every mailbox holds at most one message —
-   Network.max_congestion stays at 1 — and arrival order is
-   immaterial, which is what makes the [parallel] phases
-   deterministic. After the last round one unpack phase has each
-   destination scatter its self-transfers, then its received payloads
-   in round order: each processor's writes run back to back in its own
-   memory instead of interleaving with every other processor's round
-   by round, and [Schedule.validate]'s exactly-once delivery makes the
-   order within a processor free. Each pack and unpack phase is one
-   {!Pack.pack_sides} / {!Pack.unpack_sides} call, which moves a
-   congruent group of the processor's sides in one block-interleaved
-   pass.
+   write, so [src] and [dst] may alias (overlapping in-array shifts),
+   exactly like the legacy two-phase exchange. The rounds only move
+   buffers: whatever reaches a destination — a self-transfer, a plain
+   receive, a protocol delivery, a downgrade or a crash replay — is
+   filed under it as a (dst side, buffer) pair. After the rounds one
+   unpack phase has each destination write its filings in the order
+   they came (self-transfers, then the rounds), back to back in its own
+   memory; [Schedule.validate]'s exactly-once delivery makes that order
+   free. Each pack and unpack phase is one {!Pack.pack_sides} /
+   {!Pack.unpack_sides} call, which moves a congruent group of the
+   processor's sides in one block-interleaved pass.
 
-   On a faulty fabric the rounds run through the {!Reliable} protocol
-   instead (sequence numbers, checksums, ack/retransmit); crashed ranks
-   are respawned from the [respawns] budget, and when that is spent the
-   run replays every undelivered transfer from the pre-packed buffers:
-   packing happened before any write and a planned crash fires only on
-   a data send, so the replay is exact whether or not [src] and [dst]
-   alias, and no [Spmd.Crash] leaves [run]. Whatever happens,
-   posted-but-undrained messages are purged before control leaves, so a
-   reused fabric never pins this run's packed buffers. *)
+   On a perfect fabric a round is a send phase (one pre-packed message
+   per transfer, tag = round index) and a recv phase (drain and file)
+   with a barrier between them. Rounds are contention-free, so every
+   mailbox holds at most one message per round — Network.max_congestion
+   stays at 1 — and arrival order is immaterial, which is what makes
+   the [parallel] phases deterministic. On a faulty fabric the
+   {!Reliable} transport moves the rounds instead and files each
+   transfer once, by sequence number; crashed ranks are respawned from
+   the [respawns] budget, and when that is spent every undelivered
+   transfer is filed from its pre-packed buffer. A transfer is filed in
+   the step that records it delivered, in its destination's own state,
+   and a planned crash fires only on a data send, which the unpack phase
+   never makes: so no transfer is lost and no [Spmd.Crash] leaves [run].
+   Posted-but-undrained messages are purged on every exit from the
+   rounds, so a reused fabric never pins this run's packed buffers. *)
 let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
     ?(adaptive = false) (sched : Schedule.t) ~src ~dst =
   if Darray.procs src <> sched.Schedule.src_procs
@@ -111,64 +126,49 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
     Array.iter (Array.iter Pool.release) round_bufs
   in
   Fun.protect ~finally:release_bufs @@ fun () ->
-  (* The per-processor index, built once. Rank [m]'s pack phase moves
-     [out_sides.(m)] into [out_bufs.(m)], in schedule order (locals,
-     then rounds); its unpack phase moves [in_bufs.(m)] into
-     [in_sides.(m)]: its self-transfers, then on the plain path its
-     receives in round order, whose buffers the drain files from
-     [in_next.(m)] on. Per round, the slot of each processor's one send
-     and one receive (-1: none). *)
-  let plain = Option.is_none rel in
-  let out_sides = Array.make p [] and out_bufs = Array.make p [] in
-  let in_sides = Array.make p [] and in_bufs = Array.make p [] in
+  (* The per-processor index, built once: rank [m]'s outgoing (side,
+     buffer) pairs in schedule order (locals, then rounds), its filings,
+     both newest first, and per round the slot of each processor's one
+     send and one receive (-1: none). The self-transfers are filed now. *)
+  let outgoing = Array.make p [] and filed = Array.make p [] in
   let push a m x = a.(m) <- x :: a.(m) in
+  let file (tr : Schedule.transfer) buf =
+    push filed tr.Schedule.dst_proc (tr.Schedule.dst_side, buf)
+  in
   let slots () = Array.map (fun _ -> Array.make p (-1)) rounds in
   let send_slot = slots () and recv_slot = slots () in
-  for r = Array.length rounds - 1 downto 0 do
-    for i = Array.length rounds.(r) - 1 downto 0 do
+  Array.iteri
+    (fun i (tr : Schedule.transfer) ->
+      push outgoing tr.Schedule.src_proc (tr.Schedule.src_side, local_bufs.(i));
+      file tr local_bufs.(i))
+    locals;
+  for r = 0 to Array.length rounds - 1 do
+    for i = 0 to Array.length rounds.(r) - 1 do
       let tr = rounds.(r).(i) in
-      let s = tr.Schedule.src_proc and d = tr.Schedule.dst_proc in
-      push out_sides s tr.Schedule.src_side;
-      push out_bufs s round_bufs.(r).(i);
-      if plain then begin
-        push in_sides d tr.Schedule.dst_side;
-        push in_bufs d Lams_util.Fbuf.empty
-      end;
+      let s = tr.Schedule.src_proc in
+      push outgoing s (tr.Schedule.src_side, round_bufs.(r).(i));
       send_slot.(r).(s) <- i;
-      recv_slot.(r).(d) <- i
+      recv_slot.(r).(tr.Schedule.dst_proc) <- i
     done
   done;
-  let in_next = Array.make p 0 in
-  for i = Array.length locals - 1 downto 0 do
-    let tr = locals.(i) and buf = local_bufs.(i) in
-    let m = tr.Schedule.src_proc in
-    push out_sides m tr.Schedule.src_side;
-    push out_bufs m buf;
-    push in_sides m tr.Schedule.dst_side;
-    push in_bufs m buf;
-    in_next.(m) <- in_next.(m) + 1
-  done;
-  let arrays a = Array.map Array.of_list a in
-  let out_sides = arrays out_sides and out_bufs = arrays out_bufs in
-  let in_sides = arrays in_sides and in_bufs = arrays in_bufs in
   let pack_phase m =
-    if Array.length out_sides.(m) > 0 then
-      Pack.pack_sides out_sides.(m)
-        ~data:(Local_store.data (Darray.local src m))
-        ~bufs:out_bufs.(m)
+    match oldest_first outgoing.(m) with
+    | [||], _ -> ()
+    | sides, bufs ->
+        Pack.pack_sides sides ~data:(Local_store.data (Darray.local src m)) ~bufs
   in
+  (* The only writer of [dst]. *)
   let unpack_phase m =
-    if Array.length in_sides.(m) > 0 then
-      Pack.unpack_sides in_sides.(m) ~bufs:in_bufs.(m)
-        ~data:(Local_store.data (Darray.local dst m))
+    match oldest_first filed.(m) with
+    | [||], _ -> ()
+    | sides, bufs ->
+        Pack.unpack_sides sides ~bufs ~data:(Local_store.data (Darray.local dst m))
   in
   run_phase pack_phase;
   (match rel with
   | None ->
       (* One send and one recv phase per round, bare (headerless) packed
-         messages; the drain only files each payload under its
-         receiver, and every write happens in the unpack phase after
-         the last round. *)
+         messages. *)
       let send_phase r m =
         let i = send_slot.(r).(m) in
         if i >= 0 then begin
@@ -184,8 +184,7 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
         if i >= 0 then
           match Network.receive_all net ~dst:m with
           | [ msg ] when msg.Network.src = rounds.(r).(i).Schedule.src_proc ->
-              in_bufs.(m).(in_next.(m)) <- msg.Network.payload;
-              in_next.(m) <- in_next.(m) + 1
+              file rounds.(r).(i) msg.Network.payload
           | _ -> invalid_arg "Executor.run: unscheduled message in round"
       in
       (try
@@ -197,16 +196,10 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
          (* Don't leak this run's packed buffers (still referenced by
             posted-but-undrained messages) into a reused fabric. *)
          ignore (Network.purge net : int);
-         raise e);
-      run_phase unpack_phase
+         raise e)
   | Some cfg ->
-      (* The protocol unpacks on delivery (dedup and crash replay depend
-         on it), so only the self-transfers go through the unpack
-         phase, before the first round. *)
-      run_phase unpack_phase;
       let run_id = Atomic.fetch_and_add run_counter 1 in
       let delivered = Array.init p (fun _ -> Hashtbl.create 16) in
-      let dst_data m = Local_store.data (Darray.local dst m) in
       (* Sequence numbers are a monotone per-run counter: re-planning
          mints fresh seqs for split pieces, and a fresh seq can never
          collide with one a receiver already recorded in [delivered]. *)
@@ -232,16 +225,14 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
                 rounds))
       in
       let completed = ref [] in
-      (* The bottom rung: any transfer not yet delivered is unpacked
-         straight from its pre-packed buffer. Packing happened before
-         any write, so this is correct even when [src] and [dst]
-         alias. *)
+      (* The bottom rung: every transfer not yet filed is filed from its
+         pre-packed buffer. *)
       let replay_undelivered () =
         let replay ((tr : Schedule.transfer), seq, buf) =
           let m = tr.Schedule.dst_proc in
           if not (Hashtbl.mem delivered.(m) seq) then begin
             Hashtbl.add delivered.(m) seq ();
-            Pack.unpack tr.Schedule.dst_side ~buf ~data:(dst_data m);
+            file tr buf;
             Reliable.note_downgrade ()
           end
         in
@@ -323,7 +314,7 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
                let seqs = Array.map (fun (_, s, _) -> s) round in
                let bufs = Array.map (fun (_, _, b) -> b) round in
                Reliable.exchange cfg ~net ~p ~run_id ~tag:!tag ~transfers
-                 ~seqs ~bufs ~dst_data ~delivered ~run_phase;
+                 ~seqs ~bufs ~delivered ~file ~run_phase;
                incr tag;
                completed := round :: !completed;
                pending := rest;
@@ -359,6 +350,7 @@ let run ?net ?(parallel = false) ?reliable ?(respawns = 0)
       | e ->
           ignore (Network.purge net : int);
           raise e));
+  run_phase unpack_phase;
   net
 
 let redistribute ?net ?parallel ?reliable ?respawns ?adaptive ~src

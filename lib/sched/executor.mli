@@ -2,47 +2,47 @@
 
     Every phase is processor-major: rank [m] works on its own memory
     only. A single pack phase has each source gather all its outgoing
-    buffers — every read — before any delivery writes, so source and
-    destination may alias (overlapping in-array shifts behave like the
-    legacy two-phase exchange). Each round is then a send phase and a
-    drain phase separated by a barrier ({!Lams_sim.Spmd.run} per phase,
-    or domain-parallel with [~parallel:true]); the drain only files each
-    received payload under its receiver. After the last round one
-    unpack phase has each destination scatter its self-transfers
-    (which never touch the network), then its received messages in
-    round order. Each of these phases is one {!Pack.pack_sides} or
+    buffers — every read — before any write, so source and destination
+    may alias (overlapping in-array shifts behave like the legacy
+    two-phase exchange). The rounds only move buffers: each round is a
+    send phase and a drain phase separated by a barrier
+    ({!Lams_sim.Spmd.run} per phase, or domain-parallel with
+    [~parallel:true]), and whatever reaches a destination is only filed
+    under it. After the rounds one unpack phase — the only writer of the
+    destination — has each destination scatter its self-transfers
+    (which never touch the network), then what it received, in round
+    order. Each of these phases is one {!Pack.pack_sides} or
     {!Pack.unpack_sides} call, so a processor's congruent sides move in
-    one block-interleaved pass over its store. A round's transfers are contention-free, so every
-    mailbox sees at most one message per round
-    ({!Lams_sim.Network.max_congestion} stays at 1) and phase order is
-    the only synchronization needed. Messages are packed: sent with
-    [addresses = [||]], placement recovered from the receiver's half of
-    the schedule.
+    one block-interleaved pass over its store. A round's transfers are
+    contention-free, so every mailbox sees at most one message per
+    round ({!Lams_sim.Network.max_congestion} stays at 1) and phase
+    order is the only synchronization needed. Messages are packed: sent
+    with [addresses = [||]], placement recovered from the receiver's
+    half of the schedule.
 
     {b Fault tolerance.} On a fabric with an attached
     {!Lams_sim.Fault_model} the rounds run through the {!Reliable}
-    protocol (enabled automatically, or explicitly with [~reliable]),
-    which unpacks each transfer on its first delivery — dedup and crash
-    replay depend on that — so there the unpack phase covers only the
-    self-transfers, before the first round. Crashed ranks are respawned
-    from the [respawns] budget
+    transport (enabled automatically, or explicitly with [~reliable]),
+    which files each transfer's first delivery, deduplicated by sequence
+    number. Crashed ranks are respawned from the [respawns] budget
     ({!Lams_sim.Spmd.run_protected}). The degradation ladder has two
     rungs, and both finish inside the run:
 
     + retransmit with backoff until the per-transfer retry budget runs
-      out, then unpack the transfer straight from its pre-packed buffer
+      out, then file the transfer's pre-packed buffer
       ([sched.reliable.downgrades]);
     + a crash outliving the respawn budget ends the protocol, and every
-      transfer not yet delivered is unpacked from its pre-packed buffer
+      transfer not yet filed is filed from its pre-packed buffer
       ([sched.executor.replays] counts such runs, aliasing or not).
 
-    Both rungs are exact: every buffer is packed before any write, and
-    a planned crash fires only on a data send, which comes after the
-    pack phase. So neither {!run} nor {!redistribute} raises
-    {!Lams_sim.Spmd.Crash}. On any exit — normal or raising —
-    posted-but-undrained messages are purged from the fabric, so a
-    reused network neither pins this run's packed buffers nor leaks
-    protocol stragglers into the next exchange.
+    Both rungs are exact: every buffer is packed before any write, a
+    transfer is filed in the step that records it delivered, and a
+    planned crash fires only on a data send, which neither the pack nor
+    the unpack phase makes. So neither {!run} nor {!redistribute} raises
+    {!Lams_sim.Spmd.Crash}. On any exit from the rounds — normal or
+    raising — posted-but-undrained messages are purged from the fabric,
+    so a reused network neither pins this run's packed buffers nor
+    leaks protocol stragglers into the next exchange.
 
     {b Payload buffers} come from the per-domain {!Pool} and are
     released on every exit path, so a steady-state exchange (schedule

@@ -64,8 +64,8 @@ let checksum ~run ~seq (payload : Fbuf.t) =
   done;
   Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
 
-let exchange cfg ~net ~p ~run_id ~tag ~transfers ~seqs ~bufs ~dst_data
-    ~delivered ~run_phase =
+let exchange cfg ~net ~p ~run_id ~tag ~transfers ~seqs ~bufs ~delivered
+    ~file ~run_phase =
   let nt = Array.length transfers in
   if nt > 0 then begin
     (* On a perfect fabric a checksum can never fail; skip the two
@@ -117,7 +117,7 @@ let exchange cfg ~net ~p ~run_id ~tag ~transfers ~seqs ~bufs ~dst_data
           else begin
             let seq = h.(3) in
             if Hashtbl.mem delivered.(m) seq then
-              (* Already unpacked (possibly in an earlier round, or via a
+              (* Already filed (possibly in an earlier round, or via a
                  downgrade): the duplicate usually means the ack died, so
                  re-ack it. *)
               Lams_obs.Obs.incr c_dup_drops
@@ -125,11 +125,10 @@ let exchange cfg ~net ~p ~run_id ~tag ~transfers ~seqs ~bufs ~dst_data
               match Hashtbl.find_opt index_of_seq seq with
               | Some i when transfers.(i).Schedule.dst_proc = m ->
                   Hashtbl.add delivered.(m) seq ();
-                  Pack.unpack transfers.(i).Schedule.dst_side
-                    ~buf:msg.Network.payload ~data:(dst_data m)
+                  file transfers.(i) msg.Network.payload
               | _ ->
                   (* A sound data message this run never sent to us:
-                     defensive — nothing to unpack. *)
+                     defensive — nothing to file. *)
                   Lams_obs.Obs.incr c_stale_drops
             end;
             to_ack.(m) <- (msg.Network.src, seq) :: to_ack.(m)
@@ -222,17 +221,16 @@ let exchange cfg ~net ~p ~run_id ~tag ~transfers ~seqs ~bufs ~dst_data
         end
       end
     done;
-    (* Degradation: whatever the protocol could not get acknowledged is
-       completed from its pre-packed buffer — correct because packing
-       precedes every write and [delivered] makes replay idempotent. *)
+    (* Degradation: whatever the protocol could not get acknowledged and
+       was not delivered is filed from its pre-packed buffer — correct
+       because packing precedes every write. *)
     Array.iteri
       (fun i (tr : Schedule.transfer) ->
         if not acked.(i) then begin
           let m = tr.Schedule.dst_proc in
           if not (Hashtbl.mem delivered.(m) seqs.(i)) then begin
             Hashtbl.add delivered.(m) seqs.(i) ();
-            Pack.unpack tr.Schedule.dst_side ~buf:bufs.(i)
-              ~data:(dst_data m)
+            file tr bufs.(i)
           end;
           note_downgrade ();
           Link_health.note_downgrade ~src:tr.Schedule.src_proc

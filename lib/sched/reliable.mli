@@ -1,13 +1,13 @@
 (** Reliable delivery for scheduled rounds over a lossy fabric.
 
-    Sits between {!Pack} and {!Executor}: each cross-processor transfer
-    of a round becomes a {e sequence-numbered} packed message with a
-    payload checksum; the receiver drops corrupt copies, deduplicates by
-    sequence number, unpacks first deliveries and acknowledges every
-    sound copy (re-acking duplicates, since a duplicate usually means
-    the first ack died). Senders retransmit on timeout with bounded
-    exponential backoff in the fabric's simulated time, up to a retry
-    budget.
+    A transport between {!Executor} and {!Lams_sim.Network} that writes
+    no store: each cross-processor transfer of a round becomes a
+    {e sequence-numbered} message with a payload checksum; the receiver
+    drops corrupt copies, deduplicates by sequence number, {e files}
+    first deliveries with the executor and acknowledges every sound copy
+    (re-acking duplicates, since a duplicate usually means the first ack
+    died). Senders retransmit on timeout with bounded exponential
+    backoff in the fabric's simulated time, up to a retry budget.
 
     {b Wire format.} A protocol message's header is
     [[| magic; run_id; kind; seq; checksum |]]: [run_id] isolates runs
@@ -20,7 +20,7 @@
     payload passes and costs only acks and phases.
 
     {b Exchange loop.} Each iteration is three barrier phases — drain
-    (verify, dedup, unpack, collect acks; senders absorb acks), ack
+    (verify, dedup, file, collect acks; senders absorb acks), ack
     (post the collected acks), send (retransmit every unacked
     undelivered transfer whose backoff expired) — after which the
     orchestrator advances simulated time, jumping straight to the next
@@ -30,11 +30,11 @@
     domain-parallel phases.
 
     {b Degradation.} A transfer whose retry budget is exhausted is
-    {e downgraded}: its pre-packed buffer is unpacked directly into the
-    destination rank's memory — always correct (packing precedes every
-    write; dedup makes replay idempotent), so convergence to the exact
-    legacy result is unconditional and a divergence under chaos testing
-    always means a protocol bug, never bad luck.
+    {e downgraded}: unless a copy was already delivered, its pre-packed
+    buffer is filed in place of one — always correct (packing precedes
+    every write; dedup files each transfer once), so convergence to the
+    exact legacy result is unconditional and a divergence under chaos
+    testing always means a protocol bug, never bad luck.
 
     Counters: [sched.reliable.retransmits], [.acks], [.dup_drops],
     [.corrupt_drops], [.stale_drops], [.downgrades] and the
@@ -63,8 +63,8 @@ val checksum : run:int -> seq:int -> Lams_util.Fbuf.t -> int
     64-bit float images, masked positive. *)
 
 val note_downgrade : unit -> unit
-(** Record one transfer completed from its pre-packed buffer instead of
-    the protocol ({!Executor} uses this for crash-exhaustion replay). *)
+(** Record one transfer filed from its pre-packed buffer instead of the
+    protocol ({!Executor} uses this for crash-exhaustion replay). *)
 
 val exchange :
   config ->
@@ -75,16 +75,19 @@ val exchange :
   transfers:Schedule.transfer array ->
   seqs:int array ->
   bufs:Lams_util.Fbuf.t array ->
-  dst_data:(int -> Lams_util.Fbuf.t) ->
   delivered:(int, unit) Hashtbl.t array ->
+  file:(Schedule.transfer -> Lams_util.Fbuf.t -> unit) ->
   run_phase:((int -> unit) -> unit) ->
   unit
 (** Run one round's transfers to completion: every transfer is either
     acknowledged or downgraded when this returns. [seqs.(i)]/[bufs.(i)]
     are transfer [i]'s sequence number and pre-packed buffer;
     [delivered.(m)] is rank [m]'s cross-round dedup set (seq present =
-    already unpacked), shared across the run's rounds so late
-    stragglers of earlier rounds are recognized; [run_phase] executes a
+    already filed), shared across the run's rounds so late stragglers
+    of earlier rounds are recognized. [file tr payload] files a first
+    delivery (from the destination's drain phase) or a downgrade's
+    pre-packed buffer, in the step that adds its seq to [delivered].
+    [run_phase] executes a
     phase over all ranks (the executor's sequential or domain-parallel
     barrier step). May raise {!Lams_sim.Spmd.Crash} if [run_phase]
     propagates one — the executor handles the recovery ladder. *)

@@ -73,8 +73,6 @@ let rates_for t ~link =
   | Some r -> check_rates r; r
   | None -> t.rates
 
-let bandwidth_for t ~link = t.bandwidth link
-
 (* Deterministic service time for a payload on a bandwidth-limited
    link. Zero-length payloads (protocol acks) transmit for free. *)
 let service_ticks t ~link ~payload_len =

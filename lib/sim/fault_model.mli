@@ -75,9 +75,6 @@ val rates_for : t -> link:int -> rates
     else the global rates.
     @raise Invalid_argument if the override has a rate outside [\[0, 1\]]. *)
 
-val bandwidth_for : t -> link:int -> float option
-(** The bandwidth limit on [link], if any (elements per tick). *)
-
 val service_ticks : t -> link:int -> payload_len:int -> int
 (** The deterministic service delay a [payload_len]-element message
     incurs on [link]: [ceil (payload_len / epb)] under a bandwidth

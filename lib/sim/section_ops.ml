@@ -25,16 +25,6 @@ let fill ?(shape = Shapes.Shape_d) ?(parallel = false) a sec v =
   if parallel then Spmd.run_parallel ~p:(Darray.procs a) body
   else Spmd.run ~p:(Darray.procs a) ~f:body
 
-let fill_timed ?(shape = Shapes.Shape_d) a sec v =
-  check_section a sec;
-  (* Plans are built outside the timed region: Table 2 times the node code
-     only (table construction is Table 1's subject). *)
-  let plans = plans a sec in
-  Spmd.run_timed ~p:(Darray.procs a) ~f:(fun m ->
-      match plans.(m) with
-      | None -> ()
-      | Some plan -> Shapes.assign shape plan (Local_store.data (Darray.local a m)) v)
-
 let map_section a sec ~f =
   check_section a sec;
   let norm = Section.normalize sec in

@@ -19,11 +19,6 @@ val fill :
     (safe: ranks touch disjoint stores); default sequential.
     @raise Invalid_argument if the section reaches outside the array. *)
 
-val fill_timed :
-  ?shape:Lams_codegen.Shapes.t ->
-  Darray.t -> Lams_dist.Section.t -> float -> Spmd.timing
-(** Same, reporting per-rank times (max = the paper's statistic). *)
-
 val map_section :
   Darray.t -> Lams_dist.Section.t -> f:(float -> float) -> unit
 (** Pointwise in-place update of the section ([A(sec) = f(A(sec))]),

@@ -1,11 +1,3 @@
-open Lams_util
-
-type timing = {
-  per_proc_us : float array;
-  max_us : float;
-  total_us : float;
-}
-
 let check_p p = if p <= 0 then invalid_arg "Spmd: p <= 0"
 
 let run ~p ~f =
@@ -13,17 +5,6 @@ let run ~p ~f =
   for m = 0 to p - 1 do
     f m
   done
-
-let run_timed ~p ~f =
-  check_p p;
-  let per_proc_us =
-    Array.init p (fun m ->
-        let (), us = Timer.time_us (fun () -> f m) in
-        us)
-  in
-  { per_proc_us;
-    max_us = Array.fold_left max 0. per_proc_us;
-    total_us = Array.fold_left ( +. ) 0. per_proc_us }
 
 (* --- The reusable domain pool ---------------------------------------
 
@@ -231,8 +212,6 @@ exception Crash of int
 type respawn_budget = int Atomic.t
 
 let respawn_budget n = Atomic.make (max 0 n)
-
-let respawns_left (b : respawn_budget) = max 0 (Atomic.get b)
 
 let c_crashes =
   Lams_obs.Obs.counter "spmd.recovery.crashes" ~units:"crashes"

@@ -1,16 +1,10 @@
 (** The SPMD execution model: the same node program runs on every
     processor, parameterised by its rank. On the real iPSC/860 the nodes
     run concurrently and the paper reports the {e maximum} time over all
-    32 processors; we run the node programs sequentially on the host and
-    report per-rank wall-clock times, so the same maximum statistic is
-    available without requiring 32 physical CPUs (see DESIGN.md,
-    Substitutions). *)
-
-type timing = {
-  per_proc_us : float array;  (** elapsed microseconds per rank *)
-  max_us : float;  (** the paper's reported statistic *)
-  total_us : float;
-}
+    32 processors; we run the node programs sequentially on the host,
+    and the benchmarks time each rank's node code and report the
+    maximum, so the same statistic is available without requiring 32
+    physical CPUs (see DESIGN.md, Substitutions). *)
 
 val run : p:int -> f:(int -> unit) -> unit
 (** [run ~p ~f] executes [f m] for every rank [m] in [0 .. p-1].
@@ -21,8 +15,8 @@ val run_parallel : ?domains:int -> p:int -> (int -> unit) -> unit
     ([domains] defaults to [Domain.recommended_domain_count], clamped to
     [p]). Correct only when [f m] touches rank-disjoint state — which
     holds for the node programs here, since each rank owns its local
-    store. Timing is not reported (per-rank wall-clock is meaningless
-    under oversubscription); use {!run_timed} for the paper's metric.
+    store. Per-rank wall-clock is meaningless under oversubscription,
+    so the paper's metric is timed over sequential ranks.
 
     Served by a process-wide {e domain pool}: worker domains are spawned
     once on first use and parked on a condition variable between calls,
@@ -38,9 +32,6 @@ val run_parallel : ?domains:int -> p:int -> (int -> unit) -> unit
     counters. When [domains] (or the recommendation, e.g. on a
     single-core host) is [1], runs sequentially without touching the
     pool. *)
-
-val run_timed : p:int -> f:(int -> unit) -> timing
-(** Same, timing each rank's execution. *)
 
 val run_collect : p:int -> f:(int -> 'a) -> 'a array
 (** Gather each rank's result. *)
@@ -64,8 +55,6 @@ type respawn_budget
 val respawn_budget : int -> respawn_budget
 (** A budget shared by every phase of one job (clamped to [>= 0]);
     [respawn_budget 0] never respawns. *)
-
-val respawns_left : respawn_budget -> int
 
 val run_protected :
   ?budget:respawn_budget -> ?parallel:bool -> p:int -> (int -> unit) -> unit

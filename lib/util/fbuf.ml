@@ -50,14 +50,6 @@ let sub t ~pos ~len =
   check_range "Fbuf.sub" t pos len;
   Bigarray.Array1.sub t pos len
 
-let sub_blit_to_floats ~src ~src_pos ~dst ~dst_pos ~len =
-  check_range "Fbuf.sub_blit_to_floats" src src_pos len;
-  if len < 0 || dst_pos < 0 || dst_pos > Array.length dst - len then
-    invalid_arg "Fbuf.sub_blit_to_floats";
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst (dst_pos + i) (unsafe_get src (src_pos + i))
-  done
-
 let of_array a =
   let n = Array.length a in
   let t = uninit n in

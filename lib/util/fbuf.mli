@@ -89,11 +89,6 @@ val sub : t -> pos:int -> len:int -> t
     to the pool — release the parent. Bounds-checked; raises
     [Invalid_argument "Fbuf.sub"] out of range. *)
 
-val sub_blit_to_floats : src:t -> src_pos:int -> dst:float array ->
-  dst_pos:int -> len:int -> unit
-(** Copy out of a buffer into a plain [float array] (boxing bridge for
-    legacy oracles and message traces). *)
-
 val of_array : float array -> t
 val to_array : t -> float array
 val copy : t -> t

@@ -21,8 +21,3 @@ let best_of ~repeats f =
     if us < !best then best := us
   done;
   !best
-
-let median_of ~repeats f =
-  if repeats <= 0 then invalid_arg "Timer.median_of: repeats must be positive";
-  let samples = Array.init repeats (fun _ -> snd (time_us f)) in
-  Stats.median samples

@@ -17,6 +17,3 @@ val best_of : repeats:int -> (unit -> 'a) -> float
 (** [best_of ~repeats f] runs [f] [repeats] times and returns the minimum
     elapsed microseconds — the conventional noise-resistant estimate for a
     deterministic computation. @raise Invalid_argument if [repeats <= 0]. *)
-
-val median_of : repeats:int -> (unit -> 'a) -> float
-(** Median elapsed microseconds over [repeats] runs. *)

@@ -3,10 +3,10 @@
    including descending sections and aliasing shifts),
    copy-before-mutate under corrupt+duplicate faults, the payload buffer
    pool's steady-state zero-allocation contract (also at n = 200 000 in
-   three remap regimes), the access-accounting boundary (counted element
-   ops vs raw bulk paths), the C run kernels against a reference loop,
-   and the congruent-group kernels against a reference loop, a
-   positional oracle and their bounds. *)
+   three remap regimes, plain, reliable and lossy), the access-accounting
+   boundary (counted element ops vs raw bulk paths), the C run kernels
+   against a reference loop, and the congruent-group kernels against a
+   reference loop, a positional oracle and their bounds. *)
 
 open Lams_util
 open Lams_dist
@@ -328,6 +328,19 @@ let c_grouped = Lams_obs.Obs.counter "sched.pack.grouped"
 let test_pool_contract_at_scale () =
   let p = 8 and n = 200_000 in
   let sec = Section.whole ~n in
+  let lossy () =
+    let net = Network.create ~p in
+    Network.set_faults net
+      (Some
+         (Fault_model.create
+            ~rates:
+              { Fault_model.no_faults with
+                Fault_model.drop = 0.2;
+                duplicate = 0.1;
+                corrupt = 0.1 }
+            ~seed:7 ()));
+    net
+  in
   List.iter
     (fun (regime, k_src, k_dst) ->
       let src = init_src ~n ~p ~k:k_src in
@@ -340,23 +353,41 @@ let test_pool_contract_at_scale () =
         + List.fold_left (fun acc r -> acc + List.length r) 0
             sched.Schedule.rounds
       in
-      let net = Network.create ~p in
-      let run dst = ignore (Executor.run ~net sched ~src ~dst : Network.t) in
-      run (fresh_dst ~n ~p ~k:k_dst);
-      let dst = fresh_dst ~n ~p ~k:k_dst in
-      with_counters (fun () ->
-          let h0 = Lams_obs.Obs.counter_value c_pool_hits
-          and m0 = Lams_obs.Obs.counter_value c_pool_misses
-          and g0 = Lams_obs.Obs.counter_value c_grouped in
-          run dst;
-          Tutil.check_int (regime ^ ": every buffer a pool hit") transfers
-            (Lams_obs.Obs.counter_value c_pool_hits - h0);
-          Tutil.check_int (regime ^ ": no pool miss") 0
-            (Lams_obs.Obs.counter_value c_pool_misses - m0);
-          Tutil.check_bool (regime ^ ": sides moved in groups") true
-            (Lams_obs.Obs.counter_value c_grouped - g0 > 0));
-      Tutil.check_bool (regime ^ ": every element delivered") true
-        (Darray.equal_contents src dst))
+      (* The plain run, then the protocol on a perfect and on a lossy
+         fabric: every delivery is only filed, so the one unpack phase
+         groups as many sides as on the plain path. *)
+      let plain_grouped = ref 0 in
+      List.iter
+        (fun (mode, reliable, net) ->
+          let label = regime ^ " " ^ mode in
+          let run dst =
+            ignore (Executor.run ~net ?reliable sched ~src ~dst : Network.t)
+          in
+          run (fresh_dst ~n ~p ~k:k_dst);
+          let dst = fresh_dst ~n ~p ~k:k_dst in
+          with_counters (fun () ->
+              let h0 = Lams_obs.Obs.counter_value c_pool_hits
+              and m0 = Lams_obs.Obs.counter_value c_pool_misses
+              and g0 = Lams_obs.Obs.counter_value c_grouped in
+              run dst;
+              Tutil.check_int (label ^ ": every buffer a pool hit") transfers
+                (Lams_obs.Obs.counter_value c_pool_hits - h0);
+              Tutil.check_int (label ^ ": no pool miss") 0
+                (Lams_obs.Obs.counter_value c_pool_misses - m0);
+              let grouped = Lams_obs.Obs.counter_value c_grouped - g0 in
+              if mode = "plain" then begin
+                Tutil.check_bool (label ^ ": sides moved in groups") true
+                  (grouped > 0);
+                plain_grouped := grouped
+              end
+              else
+                Tutil.check_int (label ^ ": as many sides grouped as plain")
+                  !plain_grouped grouped);
+          Tutil.check_bool (label ^ ": every element delivered") true
+            (Darray.equal_contents src dst))
+        [ ("plain", None, Network.create ~p);
+          ("reliable", Some Reliable.default_config, Network.create ~p);
+          ("lossy", None, lossy ()) ])
     [ ("coarse", 512, 128); ("fine", 64, 256); ("scatter", 1, 64) ]
 
 let test_pool_released_on_failure () =
