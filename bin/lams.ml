@@ -1575,8 +1575,8 @@ let serve_cmd =
        ~doc:
          "Run the plan-compilation daemon: answer access-plan, schedule \
           and redistribution queries over a length-prefixed binary \
-          protocol, with sharded LRU caches, request batching and a \
-          replayable plan log. Stops cleanly on SIGTERM/SIGINT.")
+          protocol, with sharded LRU caches and a replayable plan log. \
+          Stops cleanly on SIGTERM/SIGINT.")
     term
 
 let spawn_daemon cfg addr =

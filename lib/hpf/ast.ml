@@ -57,12 +57,6 @@ type statement =
 
 type program = statement list
 
-let statement_pos = function
-  | Decl { pos; _ } | Template { pos; _ } | Align { pos; _ }
-  | Distribute { pos; _ } | Redistribute { pos; _ } | Assign { pos; _ }
-  | Forall { pos; _ } | Print { pos; _ } | Print_sum { pos; _ } ->
-      pos
-
 let pp_triplet ppf { t_lo; t_hi; t_stride } =
   if t_stride = 1 then Format.fprintf ppf "%d:%d" t_lo t_hi
   else Format.fprintf ppf "%d:%d:%d" t_lo t_hi t_stride

@@ -91,7 +91,6 @@ type statement =
 
 type program = statement list
 
-val statement_pos : statement -> position
 val pp_triplet : Format.formatter -> triplet -> unit
 val pp_statement : Format.formatter -> statement -> unit
 val pp_binop : Format.formatter -> binop -> unit

@@ -179,10 +179,6 @@ let variant_id = function
   | Shape Shapes.Shape_d -> "d"
   | Table_free -> "tf"
 
-let variant_name = function
-  | Shape sh -> Shapes.name sh
-  | Table_free -> "table-free"
-
 (* ------------------------------------------------------------------ *)
 (* Outcomes                                                           *)
 

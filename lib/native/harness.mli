@@ -85,8 +85,6 @@ type variant =
 val variants : variant list
 (** All five, shapes (a)–(d) first. *)
 
-val variant_name : variant -> string
-
 (** {1 Outcomes} *)
 
 type divergence = {

@@ -9,9 +9,7 @@ type distribution = {
   d_name : string;
   d_units : string;
   d_doc : string;
-  lock : Mutex.t;
-  mutable samples : float array;
-  mutable len : int;
+  hist : Histogram.t;
 }
 
 type span = { sp_dist : distribution }
@@ -57,12 +55,7 @@ let counter ?(units = "") ?(doc = "") name =
   match made with C c -> c | D _ | S _ -> assert false
 
 let make_dist name units doc =
-  { d_name = name;
-    d_units = units;
-    d_doc = doc;
-    lock = Mutex.create ();
-    samples = Array.make 16 0.;
-    len = 0 }
+  { d_name = name; d_units = units; d_doc = doc; hist = Histogram.create () }
 
 let distribution ?(units = "") ?(doc = "") name =
   let made =
@@ -86,34 +79,19 @@ let add c n =
   if n < 0 then invalid_arg "Obs.add: counters are monotonic (negative n)";
   if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.cell n)
 
-let push d x =
-  Mutex.lock d.lock;
-  if d.len = Array.length d.samples then begin
-    let bigger = Array.make (2 * d.len) 0. in
-    Array.blit d.samples 0 bigger 0 d.len;
-    d.samples <- bigger
-  end;
-  d.samples.(d.len) <- x;
-  d.len <- d.len + 1;
-  Mutex.unlock d.lock
-
-let observe d x = if Atomic.get enabled_flag then push d x
+let observe d x = if Atomic.get enabled_flag then Histogram.record d.hist x
 
 let time sp f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let x, ns = Lams_util.Timer.time_ns f in
-    push sp.sp_dist (Int64.to_float ns /. 1e3);
+    Histogram.record sp.sp_dist.hist (Int64.to_float ns /. 1e3);
     x
   end
 
 let counter_value c = Atomic.get c.cell
 
-let distribution_count d =
-  Mutex.lock d.lock;
-  let n = d.len in
-  Mutex.unlock d.lock;
-  n
+let distribution_count d = (Histogram.snapshot d.hist).count
 
 type dist_summary = {
   count : int;
@@ -130,19 +108,12 @@ type entry = { name : string; units : string; doc : string; value : value }
 type snapshot = entry list
 
 let summarize_dist d =
-  Mutex.lock d.lock;
-  let data = Array.sub d.samples 0 d.len in
-  Mutex.unlock d.lock;
-  if Array.length data = 0 then { count = 0; min = 0.; mean = 0.; p95 = 0.; max = 0. }
-  else begin
-    let sorted = Array.copy data in
-    Array.sort compare sorted;
-    { count = Array.length data;
-      min = sorted.(0);
-      mean = Lams_util.Stats.mean data;
-      p95 = Lams_util.Stats.percentile data 0.95;
-      max = sorted.(Array.length sorted - 1) }
-  end
+  let s = Histogram.snapshot d.hist in
+  { count = s.count;
+    min = s.min;
+    mean = Histogram.mean s;
+    p95 = Histogram.quantile s 0.95;
+    max = s.max }
 
 let snapshot () =
   let metrics = with_registry (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry []) in
@@ -166,18 +137,13 @@ let snapshot () =
                value = Span (summarize_dist s.sp_dist) })
   |> List.sort (fun a b -> compare a.name b.name)
 
-let reset_dist d =
-  Mutex.lock d.lock;
-  d.len <- 0;
-  Mutex.unlock d.lock
-
 let reset () =
   let metrics = with_registry (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry []) in
   List.iter
     (function
       | C c -> Atomic.set c.cell 0
-      | D d -> reset_dist d
-      | S s -> reset_dist s.sp_dist)
+      | D d -> Histogram.clear d.hist
+      | S s -> Histogram.clear s.sp_dist.hist)
     metrics
 
 let find snap name = List.find_opt (fun e -> e.name = name) snap

@@ -4,10 +4,14 @@
 
     - {e counters} — monotonic integer tallies ({!counter}, {!incr},
       {!add});
-    - {e distributions} — float samples summarised as
+    - {e distributions} — non-negative float samples summarised as
       count/min/mean/p95/max ({!distribution}, {!observe});
     - {e spans} — wall-clock timers recording elapsed microseconds into a
       distribution ({!span}, {!time}).
+
+    A distribution keeps its samples in a {!Histogram} of at most 6.3
+    KiB: count, minimum, mean and maximum exact, p95 at most 1/16 above
+    the exact nearest-rank value.
 
     The registry is {e disabled by default} and instrumentation is
     cheap-by-default: while disabled, {!incr}, {!add}, {!observe} and
@@ -59,7 +63,8 @@ val add : counter -> int -> unit
     @raise Invalid_argument on negative [n], enabled or not. *)
 
 val observe : distribution -> float -> unit
-(** Record one sample (when enabled). *)
+(** Record one sample (when enabled).
+    @raise Invalid_argument on a negative or NaN sample, when enabled. *)
 
 val time : span -> (unit -> 'a) -> 'a
 (** [time sp f] runs [f ()]; when enabled, records the elapsed
@@ -79,7 +84,7 @@ type dist_summary = {
   count : int;
   min : float;  (** 0. when [count = 0] *)
   mean : float;  (** 0. when [count = 0] *)
-  p95 : float;  (** 95th percentile, linear interpolation *)
+  p95 : float;  (** nearest-rank, within the {!Histogram} bound *)
   max : float;
 }
 

@@ -230,9 +230,10 @@ let exchange cfg ~net ~p ~run_id ~tag ~transfers ~seqs ~bufs ~delivered
           let m = tr.Schedule.dst_proc in
           if not (Hashtbl.mem delivered.(m) seqs.(i)) then begin
             Hashtbl.add delivered.(m) seqs.(i) ();
-            file tr bufs.(i)
+            file tr bufs.(i);
+            note_downgrade ()
           end;
-          note_downgrade ();
+          (* Delivered or not, the link used up its retry budget. *)
           Link_health.note_downgrade ~src:tr.Schedule.src_proc
             ~dst:tr.Schedule.dst_proc
         end)

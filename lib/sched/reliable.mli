@@ -37,14 +37,15 @@
     testing always means a protocol bug, never bad luck.
 
     Counters: [sched.reliable.retransmits], [.acks], [.dup_drops],
-    [.corrupt_drops], [.stale_drops], [.downgrades] and the
-    [sched.reliable.backoff] distribution (p95 of retransmit backoff
-    ticks).
+    [.corrupt_drops], [.stale_drops], [.downgrades] (transfers filed
+    from their pre-packed buffer) and the [sched.reliable.backoff]
+    distribution (p95 of retransmit backoff ticks).
 
     {b Health feedback.} Every first ack (attempt count, first-send to
     ack latency, payload size), every retransmit (with its backoff) and
-    every downgrade is also fed to {!Link_health}, the process-global
-    per-link estimator the adaptive executor plans from. *)
+    every exhausted retry budget, delivered or not, is also fed to
+    {!Link_health}, the process-global per-link estimator the adaptive
+    executor plans from. *)
 
 type config = {
   max_attempts : int;  (** sends per transfer before downgrading *)

@@ -1,6 +1,6 @@
+module Histogram = Lams_obs.Histogram
 module Prng = Lams_util.Prng
 module Timer = Lams_util.Timer
-module Stats = Lams_util.Stats
 
 type config = {
   clients : int;
@@ -95,8 +95,8 @@ type acc = {
   mutable a_misses : int;
   mutable a_shed : int;
   mutable a_errors : int;
-  mutable a_lat : float list;
-  mutable a_hit_lat : float list;
+  a_lat : Histogram.t;  (** round trips of answered requests, us *)
+  a_hit_lat : Histogram.t;  (** the same, hits only *)
   mutable a_events : (float * bool) list;  (** completion time s, hit *)
 }
 
@@ -108,8 +108,8 @@ let fresh_acc () =
     a_misses = 0;
     a_shed = 0;
     a_errors = 0;
-    a_lat = [];
-    a_hit_lat = [];
+    a_lat = Histogram.create ();
+    a_hit_lat = Histogram.create ();
     a_events = [];
   }
 
@@ -132,11 +132,11 @@ let client_loop cfg addr zipf t0_ns n i acc =
            let at = Int64.to_float (Int64.sub q1 t0_ns) /. 1e9 in
            let answered hit =
              acc.a_answered <- acc.a_answered + 1;
-             acc.a_lat <- us :: acc.a_lat;
+             Histogram.record acc.a_lat us;
              acc.a_events <- (at, hit) :: acc.a_events;
              if hit then begin
                acc.a_hits <- acc.a_hits + 1;
-               acc.a_hit_lat <- us :: acc.a_hit_lat
+               Histogram.record acc.a_hit_lat us
              end
              else acc.a_misses <- acc.a_misses + 1
            in
@@ -199,12 +199,13 @@ let run ?(target_hit_rate = 0.9) cfg addr =
   let sum f = Array.fold_left (fun a acc -> a + f acc) 0 accs in
   let answered = sum (fun a -> a.a_answered) in
   let hits = sum (fun a -> a.a_hits) in
-  let lat =
-    Array.of_list (Array.fold_left (fun l a -> a.a_lat @ l) [] accs)
+  let merged field =
+    let h = Histogram.create () in
+    Array.iter (fun a -> Histogram.merge (field a) ~into:h) accs;
+    Histogram.snapshot h
   in
-  let hit_lat =
-    Array.of_list (Array.fold_left (fun l a -> a.a_hit_lat @ l) [] accs)
-  in
+  let lat = merged (fun a -> a.a_lat)
+  and hit_lat = merged (fun a -> a.a_hit_lat) in
   let events =
     Array.of_list (Array.fold_left (fun l a -> a.a_events @ l) [] accs)
   in
@@ -218,9 +219,9 @@ let run ?(target_hit_rate = 0.9) cfg addr =
     errors = sum (fun a -> a.a_errors);
     wall_s;
     throughput = (if wall_s > 0. then float_of_int answered /. wall_s else 0.);
-    p50_us = (if lat = [||] then 0. else Stats.percentile lat 0.5);
-    p95_us = (if lat = [||] then 0. else Stats.percentile lat 0.95);
-    p95_hit_us = (if hit_lat = [||] then 0. else Stats.percentile hit_lat 0.95);
+    p50_us = Histogram.quantile lat 0.5;
+    p95_us = Histogram.quantile lat 0.95;
+    p95_hit_us = Histogram.quantile hit_lat 0.95;
     hit_rate =
       (if answered > 0 then float_of_int hits /. float_of_int answered else 0.);
     time_to_target_s = time_to_target events target_hit_rate;

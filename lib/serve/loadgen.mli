@@ -9,7 +9,9 @@
     rank {e sequence} reproducible from [seed].
 
     Hits are counted client-side from the digest hit flags, so the
-    report needs no server cooperation beyond the protocol itself. *)
+    report needs no server cooperation beyond the protocol itself. Each
+    client keeps its round trips in its own {!Lams_obs.Histogram}s, and
+    the percentiles come from their merge, within that bound. *)
 
 type config = {
   clients : int;

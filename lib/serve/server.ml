@@ -1,6 +1,5 @@
-module Obs = Lams_obs.Obs
+module Histogram = Lams_obs.Histogram
 module Timer = Lams_util.Timer
-module Stats = Lams_util.Stats
 
 type config = {
   shards : int;
@@ -28,7 +27,6 @@ type address = [ `Unix of string | `Tcp of string * int ]
 type counters = {
   requests : int;
   hits : int;
-  batched : int;
   shed : int;
   protocol_errors : int;
   connections : int;
@@ -88,39 +86,14 @@ type t = {
   stopping : bool Atomic.t;
   c_requests : int Atomic.t;
   c_hits : int Atomic.t;
-  c_batched : int Atomic.t;
   c_shed : int Atomic.t;
   c_protocol_errors : int Atomic.t;
   c_connections : int Atomic.t;
   c_refused : int Atomic.t;
-  lat_mutex : Mutex.t;
-  lat_ring : float array;
-  mutable lat_count : int;
+  latency : Histogram.t;  (** served latency since start, microseconds *)
   mutable worker_domains : unit Domain.t list;
   mutable listener : Thread.t option;
 }
-
-let obs_requests = Obs.counter ~doc:"requests decoded by the daemon" "serve.requests"
-let obs_hits = Obs.counter ~doc:"daemon requests answered from a store" "serve.hits"
-
-let obs_batched =
-  Obs.counter ~doc:"requests answered by a batch leader's lookup" "serve.batched"
-
-let obs_shed = Obs.counter ~doc:"requests shed past the high-water mark" "serve.shed"
-
-let group_by key items =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun it ->
-      let k = key it in
-      match Hashtbl.find_opt tbl k with
-      | Some cell -> cell := it :: !cell
-      | None ->
-          Hashtbl.add tbl k (ref [ it ]);
-          order := k :: !order)
-    items;
-  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find tbl k))) !order
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -158,35 +131,20 @@ let respond conn id resp =
     if idle then flush conn
   end
 
-let record_latency t t0 =
-  let us = Int64.to_float (Int64.sub (Timer.now_ns ()) t0) /. 1e3 in
-  Mutex.lock t.lat_mutex;
-  t.lat_ring.(t.lat_count mod Array.length t.lat_ring) <- us;
-  t.lat_count <- t.lat_count + 1;
-  Mutex.unlock t.lat_mutex
-
 let latency_summary t =
-  Mutex.lock t.lat_mutex;
-  let retained = min t.lat_count (Array.length t.lat_ring) in
-  let xs = Array.sub t.lat_ring 0 retained in
-  let count = t.lat_count in
-  Mutex.unlock t.lat_mutex;
-  if retained = 0 then
-    { Wire.d_count = count; d_min = 0.; d_mean = 0.; d_p95 = 0.; d_max = 0. }
-  else
-    {
-      Wire.d_count = count;
-      d_min = Array.fold_left min xs.(0) xs;
-      d_mean = Stats.mean xs;
-      d_p95 = Stats.percentile xs 0.95;
-      d_max = Array.fold_left max xs.(0) xs;
-    }
+  let s = Histogram.snapshot t.latency in
+  {
+    Wire.d_count = s.count;
+    d_min = s.min;
+    d_mean = Histogram.mean s;
+    d_p95 = Histogram.quantile s 0.95;
+    d_max = s.max;
+  }
 
 let counters t =
   {
     requests = Atomic.get t.c_requests;
     hits = Atomic.get t.c_hits;
-    batched = Atomic.get t.c_batched;
     shed = Atomic.get t.c_shed;
     protocol_errors = Atomic.get t.c_protocol_errors;
     connections = Atomic.get t.c_connections;
@@ -194,18 +152,15 @@ let counters t =
     replayed = t.replayed;
   }
 
-let plan_stats t = Lams_core.Plan_cache.Lru.stats t.plans
-let sched_stats t = Lams_sched.Cache.Lru.stats t.scheds
-
 let stats_payload t =
   let c = counters t in
-  let ps = plan_stats t and ss = sched_stats t in
+  let ps = Lams_core.Plan_cache.Lru.stats t.plans
+  and ss = Lams_sched.Cache.Lru.stats t.scheds in
   {
     Wire.s_counters =
       [
         ("serve.requests", c.requests);
         ("serve.hits", c.hits);
-        ("serve.batched", c.batched);
         ("serve.shed", c.shed);
         ("serve.protocol_errors", c.protocol_errors);
         ("serve.connections", c.connections);
@@ -224,7 +179,8 @@ let stats_payload t =
   }
 
 let finish t job resp =
-  record_latency t job.t0;
+  Histogram.record t.latency
+    (Int64.to_float (Int64.sub (Timer.now_ns ()) job.t0) /. 1e3);
   respond job.conn job.id resp
 
 let maybe_rotate t log =
@@ -245,86 +201,34 @@ let log_append_sched t key =
       Plan_log.append_sched log key;
       maybe_rotate t log
 
-let count_served t ~rank ~hit =
-  let served_hit = hit || rank > 0 in
-  if served_hit then begin
-    Atomic.incr t.c_hits;
-    Obs.incr obs_hits
-  end;
-  if rank > 0 then begin
-    Atomic.incr t.c_batched;
-    Obs.incr obs_batched
-  end;
-  served_hit
-
-let process_plan_group t key members =
-  match Store.Plan_store.find_key t.plans key with
-  | exception _ ->
-      List.iter
-        (fun (job, _) ->
-          finish t job (Wire.Error (Wire.E_internal, "plan build failed")))
-        members
-  | v, hit ->
-      if not hit then log_append_plan t key;
-      List.iteri
-        (fun rank (job, local_shift) ->
-          let served_hit = count_served t ~rank ~hit in
-          finish t job
-            (Wire.Plan_digest
-               (Store.Plan_store.digest v ~local_shift ~hit:served_hit)))
-        members
-
-let process_sched_group t key members =
-  match Store.Sched_store.find_key t.scheds key with
-  | exception _ ->
-      List.iter
-        (fun (job, _, _) ->
-          finish t job (Wire.Error (Wire.E_internal, "schedule build failed")))
-        members
-  | v, hit ->
-      if not hit then log_append_sched t key;
-      List.iteri
-        (fun rank (job, _, _) ->
-          let served_hit = count_served t ~rank ~hit in
-          let resp =
-            match job.req with
-            | Wire.Schedule _ ->
-                Wire.Sched_digest
-                  (Store.Sched_store.sched_digest v ~hit:served_hit)
-            | _ ->
-                Wire.Redist_digest
-                  (Store.Sched_store.redist_digest v ~hit:served_hit)
-          in
-          finish t job resp)
-        members
-
-let process_batch t jobs =
-  let plan_ok = ref [] and sched_ok = ref [] in
-  List.iter
-    (fun job ->
-      match job.req with
-      | Wire.Plan r -> (
-          match Store.Plan_store.key_of_req r with
-          | Ok (key, _g_shift, local_shift) ->
-              plan_ok := (key, (job, local_shift)) :: !plan_ok
-          | Error msg -> finish t job (Wire.Error (Wire.E_invalid_request, msg)))
-      | Wire.Schedule r | Wire.Redist r -> (
-          match Store.Sched_store.key_of_req r with
-          | Ok (key, src_shift, dst_shift) ->
-              sched_ok := (key, (job, src_shift, dst_shift)) :: !sched_ok
-          | Error msg -> finish t job (Wire.Error (Wire.E_invalid_request, msg)))
-      | Wire.Stats -> finish t job (Wire.Stats_reply (stats_payload t)))
-    jobs;
-  List.iter
-    (fun (key, members) -> process_plan_group t key (List.map snd members))
-    (group_by fst (List.rev !plan_ok));
-  List.iter
-    (fun (key, members) -> process_sched_group t key (List.map snd members))
-    (group_by fst (List.rev !sched_ok))
+let answer t job =
+  match job.req with
+  | Wire.Plan r -> (
+      match Store.Plan_store.key_of_req r with
+      | Error msg -> Wire.Error (Wire.E_invalid_request, msg)
+      | Ok (key, _g_shift, local_shift) -> (
+          match Store.Plan_store.find_key t.plans key with
+          | exception _ -> Wire.Error (Wire.E_internal, "plan build failed")
+          | v, hit ->
+              if hit then Atomic.incr t.c_hits else log_append_plan t key;
+              Wire.Plan_digest (Store.Plan_store.digest v ~local_shift ~hit)))
+  | Wire.Schedule r | Wire.Redist r -> (
+      match Store.Sched_store.key_of_req r with
+      | Error msg -> Wire.Error (Wire.E_invalid_request, msg)
+      | Ok (key, _src_shift, _dst_shift) -> (
+          match Store.Sched_store.find_key t.scheds key with
+          | exception _ -> Wire.Error (Wire.E_internal, "schedule build failed")
+          | v, hit -> (
+              if hit then Atomic.incr t.c_hits else log_append_sched t key;
+              match job.req with
+              | Wire.Schedule _ ->
+                  Wire.Sched_digest (Store.Sched_store.sched_digest v ~hit)
+              | _ ->
+                  Wire.Redist_digest (Store.Sched_store.redist_digest v ~hit))))
+  | Wire.Stats -> Wire.Stats_reply (stats_payload t)
 
 let shed t job =
   Atomic.incr t.c_shed;
-  Obs.incr obs_shed;
   respond job.conn job.id Wire.Overloaded
 
 let protocol_error t conn fe =
@@ -333,17 +237,15 @@ let protocol_error t conn fe =
   conn.state <- Closing;
   respond conn 0 (Wire.Error (code, msg))
 
-(* Answer one round's requests: the first [cap] as one batch, the rest
-   [Overloaded] after it, so a connection's answers keep its request
-   order wherever the batch does. *)
+(* Answer one round's requests in arrival order: the first [cap], then
+   [Overloaded] for the rest, so a connection's answers keep its
+   request order. *)
 let serve_round t jobs ~cap =
-  let rec split n served = function
-    | job :: rest when n < cap -> split (n + 1) (job :: served) rest
-    | excess -> (List.rev served, excess)
-  in
-  let served, excess = split 0 [] jobs in
-  (try process_batch t served with _ -> ());
-  List.iter (shed t) excess
+  List.iteri
+    (fun n job ->
+      if n < cap then (try finish t job (answer t job) with _ -> ())
+      else shed t job)
+    jobs
 
 (* Space kept free in an input buffer before each read. *)
 let min_read = 4096
@@ -387,7 +289,6 @@ let rec cut_requests t conn ~eof acc =
             List.rev acc
         | Ok (id, req) ->
             Atomic.incr t.c_requests;
-            Obs.incr obs_requests;
             cut_requests t conn ~eof
               ({ conn; id; req; t0 = Timer.now_ns () } :: acc))
 
@@ -680,14 +581,11 @@ let start cfg addr =
       stopping = Atomic.make false;
       c_requests = Atomic.make 0;
       c_hits = Atomic.make 0;
-      c_batched = Atomic.make 0;
       c_shed = Atomic.make 0;
       c_protocol_errors = Atomic.make 0;
       c_connections = Atomic.make 0;
       c_refused = Atomic.make 0;
-      lat_mutex = Mutex.create ();
-      lat_ring = Array.make 8192 0.;
-      lat_count = 0;
+      latency = Histogram.create ();
       worker_domains = [];
       listener = None;
     }

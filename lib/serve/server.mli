@@ -7,14 +7,12 @@
     it. Each worker multiplexes its non-blocking sockets with
     [Unix.select]; in one readiness round it reads every readable
     connection once, cuts the whole frames out of that connection's
-    input buffer ({!Wire.cut_frame}) and answers them all inline as one
-    batch — requests that share a canonical cache key are resolved with
-    {e one} store lookup (one build on a miss) and the rebased digests
-    fanned back out ({!group_by}). Answers queue per connection and are
-    written as far as the socket takes them. Lookups go through the
-    sharded stores ({!Store}), so workers contend only on same-shard
-    keys. The daemon runs the main thread, the listener and the workers,
-    whatever the number of clients.
+    input buffer ({!Wire.cut_frame}) and answers them inline, one store
+    lookup each (one build on a miss), in arrival order. Answers queue
+    per connection and are written as far as the socket takes them.
+    Lookups go through the sharded stores ({!Store}), so workers contend
+    only on same-shard keys. The daemon runs the main thread, the
+    listener and the workers, whatever the number of clients.
 
     {b Bounds.} A connection whose unwritten output passes 1 MiB is not
     read until its peer takes some, so a client that never reads holds
@@ -63,8 +61,7 @@ type address = [ `Unix of string | `Tcp of string * int ]
 
 type counters = {
   requests : int;  (** decoded requests, shed or served *)
-  hits : int;  (** jobs answered from a store (incl. batch fan-out) *)
-  batched : int;  (** fan-out members beyond each group's leader *)
+  hits : int;  (** requests answered from a store *)
   shed : int;  (** [Overloaded] answers *)
   protocol_errors : int;  (** framing/decode failures answered [Error] *)
   connections : int;  (** connections served over the lifetime *)
@@ -85,20 +82,13 @@ val stop : t -> unit
 (** Graceful shutdown as described above. Idempotent. *)
 
 val counters : t -> counters
-val plan_stats : t -> Lams_util.Sharded_lru.stats
-val sched_stats : t -> Lams_util.Sharded_lru.stats
 
 val stats_payload : t -> Wire.stats_payload
 (** What a [Stats] request answers: the counters above, both stores'
-    accounting, and the served-latency distribution (microseconds). *)
+    accounting, and the served-latency {!Lams_obs.Histogram}
+    (microseconds, decode to answer) since [start], like the counters. *)
 
 val run : config -> address -> unit
 (** [start], then block until SIGTERM or SIGINT, then [stop]. Installs
     the signal handlers (and ignores SIGPIPE); prints one
     [listening on ...] line to stdout when ready. *)
-
-val group_by : ('a -> 'k) -> 'a list -> ('k * 'a list) list
-(** The batching step, exposed pure for tests: partition a batch by key,
-    preserving first-seen key order and per-key arrival order.
-    [List.concat_map snd (group_by f xs)] is a permutation of [xs], and
-    every group is non-empty and key-homogeneous. *)

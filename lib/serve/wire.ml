@@ -517,16 +517,6 @@ let pp_frame_error ppf = function
   | Bad_tag t -> Format.fprintf ppf "bad tag %d" t
   | Bad_payload msg -> Format.fprintf ppf "bad payload: %s" msg
 
-let pp_request ppf = function
-  | Plan r ->
-      Format.fprintf ppf "plan(p=%d k=%d s=%d l=%d u=%d)" r.p r.k r.s r.l r.u
-  | (Schedule r | Redist r) as req ->
-      Format.fprintf ppf "%s(%d/cyclic(%d) %d:%d:%d -> %d/cyclic(%d) %d:%d:%d)"
-        (match req with Schedule _ -> "schedule" | _ -> "redist")
-        r.src_p r.src_k r.src_lo r.src_hi r.src_stride r.dst_p r.dst_k
-        r.dst_lo r.dst_hi r.dst_stride
-  | Stats -> Format.fprintf ppf "stats"
-
 let pp_response ppf = function
   | Plan_digest d ->
       Format.fprintf ppf "plan-digest(hit=%b procs=%d)" d.plan_hit

@@ -131,7 +131,6 @@ val error_of_frame_error : frame_error -> error_code * string
 (** The typed [Error] body a peer gets for a framing error. *)
 
 val pp_frame_error : Format.formatter -> frame_error -> unit
-val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit
 val error_code_name : error_code -> string
 

@@ -60,8 +60,3 @@ let summarize xs =
     p25 = quant 0.25;
     p75 = quant 0.75;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f p25=%.3f med=%.3f p75=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.p25 s.median s.p75 s.max

@@ -29,6 +29,3 @@ val median : float array -> float
 
 val summarize : float array -> summary
 (** All of the above in one pass (plus sorting for the quantiles). *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Human-readable one-line rendering. *)

@@ -26,6 +26,7 @@ let c_crashes = Lams_obs.Obs.counter "spmd.recovery.crashes"
 let c_respawns = Lams_obs.Obs.counter "spmd.recovery.respawns"
 let c_exhausted = Lams_obs.Obs.counter "spmd.recovery.exhausted"
 let c_replays = Lams_obs.Obs.counter "sched.executor.replays"
+let c_health_downgrades = Lams_obs.Obs.counter "sched.health.downgrades"
 
 (* --- fault model determinism --- *)
 
@@ -407,6 +408,49 @@ let test_cache_debug_validate () =
       run 0;
       run 60)
 
+(* Every ack dies on link 1 -> 0 while the data crosses 0 -> 1: the
+   copy is delivered and filed, so the exhausted retry budget marks a
+   sick link, not a transfer filed from its pre-packed buffer. *)
+let test_lost_acks_are_not_downgrades () =
+  with_counters (fun () ->
+      Fun.protect ~finally:Link_health.reset (fun () ->
+          let dg0 = Lams_obs.Obs.counter_value c_downgrades
+          and hd0 = Lams_obs.Obs.counter_value c_health_downgrades in
+          (* Block-cyclic(8) on two ranks: 0..7 on rank 0, 8..15 on 1. *)
+          let layout = Layout.create ~p:2 ~k:8 in
+          let src_section = Section.make ~lo:0 ~hi:7 ~stride:1
+          and dst_section = Section.make ~lo:8 ~hi:15 ~stride:1 in
+          let src = init_src ~n:16 ~p:2 ~k:8 in
+          let legacy = fresh_dst ~n:16 ~p:2 ~k:8 in
+          ignore
+            (Section_ops.copy ~src ~src_section ~dst:legacy ~dst_section ()
+              : Network.t);
+          let sched =
+            Schedule.build ~src_layout:layout ~src_section ~dst_layout:layout
+              ~dst_section
+          in
+          let acks_die = { Fault_model.no_faults with Fault_model.drop = 1.0 } in
+          let net = Network.create ~p:2 in
+          Network.set_faults net
+            (Some
+               (Fault_model.create
+                  ~link_rates:(fun link ->
+                    if link = (1 * 2) + 0 then Some acks_die else None)
+                  ~seed:5 ()));
+          let dst = fresh_dst ~n:16 ~p:2 ~k:8 in
+          ignore (Executor.run ~net sched ~src ~dst : Network.t);
+          let cross =
+            List.fold_left (fun a r -> a + List.length r) 0
+              sched.Schedule.rounds
+          in
+          Tutil.check_bool "a cross-rank transfer" true (cross > 0);
+          Tutil.check_bool "every element arrived" true
+            (Darray.equal_contents legacy dst);
+          Tutil.check_int "no transfer filed from its buffer" dg0
+            (Lams_obs.Obs.counter_value c_downgrades);
+          Tutil.check_int "each exhausted link noted" (hd0 + cross)
+            (Lams_obs.Obs.counter_value c_health_downgrades)))
+
 let suite =
   [ Alcotest.test_case "fault model replays from its seed" `Quick
       test_fault_model_replay;
@@ -432,4 +476,6 @@ let suite =
     Alcotest.test_case "reset_stats clears accounting, keeps traffic" `Quick
       test_reset_stats;
     Alcotest.test_case "cache debug-validate covers the hit path" `Quick
-      test_cache_debug_validate ]
+      test_cache_debug_validate;
+    Alcotest.test_case "lost acks are not downgrades" `Quick
+      test_lost_acks_are_not_downgrades ]

@@ -1,6 +1,7 @@
 (* The lib/obs metrics registry: monotonic counters, immutable snapshots,
    reset semantics, distribution summaries against a brute-force
-   reference, and the disabled-by-default contract. *)
+   reference, the histogram's merge and fixed footprint, and the
+   disabled-by-default contract. *)
 
 open Lams_obs
 
@@ -103,36 +104,55 @@ let test_reset_zeroes () =
           Alcotest.(check (float 0.)) "summary mean" 0. s.Obs.mean
       | _ -> Alcotest.fail "distribution entry missing")
 
-(* Brute-force reference for the summary: sort and interpolate, written
-   out independently of Lams_util.Stats. *)
-let brute_summary xs =
-  let sorted = List.sort compare xs in
-  let arr = Array.of_list sorted in
-  let n = Array.length arr in
-  let pos = 0.95 *. float_of_int (n - 1) in
-  let lo = int_of_float (floor pos) and hi = int_of_float (ceil pos) in
-  let frac = pos -. floor pos in
-  let p95 = (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac) in
-  let mean = List.fold_left ( +. ) 0. xs /. float_of_int n in
-  (arr.(0), mean, p95, arr.(n - 1))
+(* Non-negative samples over many buckets: integers, -0., fractions
+   below the histogram's 2^-10 floor, and values up to 10^6. *)
+let gen_samples ~min_len =
+  QCheck2.Gen.(
+    list_size (int_range min_len 60)
+      (oneof
+         [ map float_of_int (int_range 0 1000);
+           return (-0.);
+           float_bound_inclusive 1e-3;
+           float_bound_inclusive 1e6 ]))
+
+let print_samples xs = String.concat ";" (List.map (Printf.sprintf "%h") xs)
+
+(* Brute-force reference: the exact nearest-rank quantile x_r,
+   r = ceil (q n), of the sorted samples. *)
+let nearest_rank sorted q =
+  let n = Array.length sorted in
+  sorted.(max 1 (int_of_float (ceil (q *. float_of_int n))) - 1)
+
+(* The histogram's quantile contract: never below x_r, at most x_r/16
+   above it, or 2^-10 above it for x_r below 2^-10. *)
+let within_bound ~exact v =
+  exact <= v && v <= Float.max (exact *. (1. +. (1. /. 16.))) (exact +. 0x1p-10)
 
 let prop_distribution_summary =
   Tutil.qtest ~count:200 "distribution summary matches brute-force reference"
-    QCheck2.Gen.(list_size (int_range 1 60) (int_range (-1000) 1000))
-    ~print:(fun ns -> String.concat ";" (List.map string_of_int ns))
-    (fun ns ->
-      let xs = List.map float_of_int ns in
+    (gen_samples ~min_len:1) ~print:print_samples
+    (fun xs ->
       let d = Obs.distribution "obs_test.quantiles" in
+      let h = Histogram.create () in
+      List.iter (Histogram.record h) xs;
+      let quantile = Histogram.quantile (Histogram.snapshot h) in
       with_obs (fun () ->
           Obs.reset ();
           List.iter (Obs.observe d) xs;
           match Obs.find (Obs.snapshot ()) "obs_test.quantiles" with
           | Some { Obs.value = Obs.Distribution s; _ } ->
-              let min', mean, p95, max' = brute_summary xs in
-              let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs b) in
-              s.Obs.count = List.length xs
-              && close s.Obs.min min' && close s.Obs.mean mean
-              && close s.Obs.p95 p95 && close s.Obs.max max'
+              let sorted = Array.of_list (List.sort compare xs) in
+              let n = Array.length sorted in
+              let mean = List.fold_left ( +. ) 0. xs /. float_of_int n in
+              s.Obs.count = n
+              && s.Obs.min = sorted.(0)
+              && s.Obs.max = sorted.(n - 1)
+              && s.Obs.mean = mean
+              && within_bound ~exact:(nearest_rank sorted 0.95) s.Obs.p95
+              && List.for_all
+                   (fun q ->
+                     within_bound ~exact:(nearest_rank sorted q) (quantile q))
+                   [ 0.5; 0.95; 0.99 ]
           | _ -> false))
 
 let test_span_records () =
@@ -216,6 +236,54 @@ let test_spmd_pool_counters () =
       Alcotest.(check (option int)) "two pool dispatches" (Some (before + 2))
         (Obs.find_counter (Obs.snapshot ()) "spmd.pool.dispatches"))
 
+let test_negative_sample () =
+  let d = Obs.distribution "obs_test.neg_sample" in
+  Obs.set_enabled false;
+  Obs.observe d (-1.);
+  Obs.observe d Float.nan;
+  Tutil.check_int "ignored while disabled" 0 (Obs.distribution_count d);
+  let rejected = Invalid_argument "Histogram.record: negative or NaN sample" in
+  with_obs (fun () ->
+      Alcotest.check_raises "negative sample" rejected (fun () ->
+          Obs.observe d (-1.));
+      Alcotest.check_raises "NaN sample" rejected (fun () ->
+          Obs.observe d Float.nan);
+      Tutil.check_int "nothing recorded" 0 (Obs.distribution_count d))
+
+let prop_histogram_merge =
+  Tutil.qtest ~count:200 "histogram merge equals concatenation"
+    QCheck2.Gen.(pair (gen_samples ~min_len:0) (gen_samples ~min_len:0))
+    ~print:(fun (xs, ys) -> print_samples xs ^ " | " ^ print_samples ys)
+    (fun (xs, ys) ->
+      let of_list l =
+        let h = Histogram.create () in
+        List.iter (Histogram.record h) l;
+        h
+      in
+      let into = of_list xs in
+      Histogram.merge (of_list ys) ~into;
+      let m = Histogram.snapshot into
+      and c = Histogram.snapshot (of_list (xs @ ys)) in
+      m.buckets = c.buckets && m.count = c.count && m.min = c.min
+      && m.max = c.max
+      && Float.abs (m.sum -. c.sum) <= 1e-9 *. (1. +. Float.abs c.sum))
+
+(* A registered distribution's memory does not grow with its samples. *)
+let test_fixed_footprint () =
+  let d = Obs.distribution "obs_test.footprint" in
+  with_obs (fun () ->
+      for i = 1 to 10 do
+        Obs.observe d (float_of_int i)
+      done;
+      let words = Obj.reachable_words (Obj.repr d) in
+      for i = 11 to 10_000_000 do
+        Obs.observe d (float_of_int i)
+      done;
+      Tutil.check_int "every sample counted" 10_000_000
+        (Obs.distribution_count d);
+      Tutil.check_int "reachable words after 10^7 samples" words
+        (Obj.reachable_words (Obj.repr d)))
+
 let suite =
   [ Alcotest.test_case "registration is idempotent, kinds are checked" `Quick
       test_registration_idempotent;
@@ -231,4 +299,9 @@ let suite =
     Alcotest.test_case "plan cache hit/miss/eviction counters" `Quick
       test_plan_cache_counters;
     Alcotest.test_case "spmd pool dispatch counter" `Quick
-      test_spmd_pool_counters ]
+      test_spmd_pool_counters;
+    Alcotest.test_case "negative samples raise only when enabled" `Quick
+      test_negative_sample;
+    prop_histogram_merge;
+    Alcotest.test_case "distribution footprint is fixed" `Quick
+      test_fixed_footprint ]

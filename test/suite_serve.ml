@@ -273,30 +273,6 @@ let test_read_frame_limits () =
   | _ -> Alcotest.fail "cutter: a whole frame must be cut"
 
 (* ------------------------------------------------------------------ *)
-(* Batching helper                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let prop_group_by =
-  Tutil.qtest "server: group_by partitions and preserves order"
-    QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 5))
-    (fun xs ->
-      let groups = Server.group_by (fun x -> x mod 3) xs in
-      (* Concatenating the groups is a permutation of the input... *)
-      List.sort compare (List.concat_map snd groups) = List.sort compare xs
-      (* ...each group is key-homogeneous and non-empty... *)
-      && List.for_all
-           (fun (key, members) ->
-             members <> [] && List.for_all (fun x -> x mod 3 = key) members)
-           groups
-      (* ...and group keys appear in first-seen order. *)
-      && List.map fst groups
-         = List.fold_left
-             (fun seen x ->
-               let key = x mod 3 in
-               if List.mem key seen then seen else seen @ [ key ])
-             [] xs)
-
-(* ------------------------------------------------------------------ *)
 (* Sharded LRU                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1170,6 +1146,41 @@ let test_server_stop_pipelined () =
               got))
   done
 
+(* [Stats] describes the daemon's whole life: after one build near the
+   serving caps and more hits than any window of recent requests would
+   keep, the build is still the maximum and the count is every request
+   answered. *)
+let test_server_lifetime_stats () =
+  with_server ~cfg:small_cfg (fun _ addr ->
+      let c = Client.connect addr in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          let latency () =
+            match Client.stats c with
+            | Wire.Stats_reply { s_dists; _ } ->
+                List.assoc "serve.latency_us" s_dists
+            | r -> Alcotest.failf "stats: %a" Wire.pp_response r
+          in
+          let plan req ~hit =
+            match Client.plan c req with
+            | Wire.Plan_digest d when d.plan_hit = hit -> ()
+            | r -> Alcotest.failf "plan: %a" Wire.pp_response r
+          in
+          (* p·k at the 2^20 cap: a build of tens of milliseconds. *)
+          plan { Wire.p = 1024; k = 1024; s = 7; l = 3; u = 3 + (7 * 4095) }
+            ~hit:false;
+          let first = latency () in
+          Tutil.check_int "the build is counted" 1 first.Wire.d_count;
+          let small = { Wire.p = 4; k = 8; s = 9; l = 4; u = 400 } in
+          plan small ~hit:false;
+          for _ = 1 to 8200 do
+            plan small ~hit:true
+          done;
+          let last = latency () in
+          Tutil.check_int "every answered request counted" (3 + 8200)
+            last.Wire.d_count;
+          Tutil.check_bool "the build stays the maximum" true
+            (last.Wire.d_max >= first.Wire.d_max)))
+
 let suite =
   [
     prop_request_roundtrip;
@@ -1177,7 +1188,6 @@ let suite =
     prop_garbage_never_raises;
     ("wire bad frames", `Quick, test_bad_frames);
     ("wire read_frame limits", `Quick, test_read_frame_limits);
-    prop_group_by;
     ("sharded LRU accounting", `Quick, test_lru_accounting);
     ("sharded LRU zero capacity", `Quick, test_lru_zero_capacity);
     ("sharded LRU set_capacity", `Quick, test_lru_set_capacity);
@@ -1196,4 +1206,5 @@ let suite =
     ("server out of descriptors", `Quick, test_server_descriptors_exhausted);
     ("server partial frames", `Quick, test_server_partial_frames);
     ("server stop with pipelined requests", `Quick, test_server_stop_pipelined);
+    ("server lifetime statistics", `Quick, test_server_lifetime_stats);
   ]
