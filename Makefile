@@ -1,8 +1,8 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all check test bench bench-json bench-inspector-quick smoke \
-	fuzz-quick chaos-quick native-quick serve-quick adaptive-quick \
-	paper-checks bench-e2e bench-compare bench-pairs doc clean
+.PHONY: all check test bench bench-json smoke fuzz-quick chaos-quick \
+	native-quick serve-quick adaptive-quick paper-checks bench-e2e \
+	bench-compare bench-pairs doc clean
 
 all:
 	dune build @all
@@ -16,8 +16,7 @@ test:
 # quick differential fuzz campaign (bin/dune @fuzz), the quick
 # chaos runs (bin/dune @chaos: scheduled-under-faults vs legacy), and
 # the paper's evaluation as checks (bench/dune @table1 @table2). Those
-# last two, like @inspector, time code: run `make check` on an
-# otherwise idle machine.
+# last two time code: run `make check` on an otherwise idle machine.
 check:
 	dune build @all
 	dune runtest
@@ -25,7 +24,6 @@ check:
 	dune build @fuzz
 	dune build @chaos
 	dune build @native
-	dune build @inspector
 	dune build @serve
 	dune build @adaptive
 	dune build @table1
@@ -50,13 +48,6 @@ smoke:
 fuzz-quick:
 	dune build @fuzz
 
-# Inspector smoke: the linear joint-cycle walk vs the retired all-pairs
-# CRT oracle at reduced size; the bench asserts the two build
-# structurally identical communication sets and the >= 10x separation
-# on the block-sized rows, so a wrong or slow walk fails the build.
-bench-inspector-quick:
-	dune build @inspector
-
 # Quick chaos runs: a lossy fabric with planned crashes (fixed seed,
 # small budget) plus an all-rates-zero run that must stay bit-identical
 # to the plain executor; any scheduled/legacy divergence fails the
@@ -77,9 +68,9 @@ native-quick:
 # Serving gate: fork a `lams serve` daemon on a Unix socket, drive the
 # quick Zipf load through it twice (cold, then warmed), SIGTERM it, and
 # fail on any protocol error or a warmed hit rate below 90%; then the
-# same with 64 clients, 16 connections per worker domain. The full
-# acceptance run is `dune exec bench/main.exe -- serve --json
-# BENCH_serve.json`.
+# same with 64 clients, 16 connections per worker domain. Throughput
+# and latency are measured by the end-to-end benchmark's serve-zipf
+# workload (make bench-e2e).
 serve-quick:
 	dune build @serve
 
@@ -128,12 +119,9 @@ bench-pairs:
 
 # Regenerate the bench artifacts with quick parameters (the committed
 # BENCH_*.json files were produced by the full sweeps, e.g.
-# `dune exec bench/main.exe -- amortize --json BENCH_amortize.json`).
+# `dune exec bench/main.exe -- codegen --json BENCH_codegen.json`).
 bench-json:
-	dune exec bench/main.exe -- amortize --quick --json BENCH_amortize.json
 	dune exec bench/main.exe -- codegen --quick --json BENCH_codegen.json
-	dune exec bench/main.exe -- inspector --quick --json BENCH_inspector.json
-	dune exec bench/main.exe -- serve --quick --json BENCH_serve.json
 	dune exec bench/main.exe -- adaptive --quick --json BENCH_adaptive.json
 
 doc:

@@ -2,16 +2,15 @@
    table and figure from the paper's evaluation section plus the ablation
    benches; individual experiments can be selected by name.
 
-   Flags: --json FILE (amortize JSON output), --quick (reduced
-   parameters, used by `make bench-json`), --check (table1 and table2:
-   repeat every cell, assert the paper's verdict on the quartiles of
-   in-run ratios, exit 1 if it fails). *)
+   Flags: --json FILE (chaos, adaptive and codegen JSON output),
+   --quick (reduced parameters, used by `make bench-json`), --check
+   (table1 and table2: repeat every cell, assert the paper's verdict on
+   the quartiles of in-run ratios, exit 1 if it fails). *)
 
 let usage () =
   print_endline
-    "usage: bench/main.exe [table1 | figure7 | table2 | ablations | amortize \
-     | inspector | chaos | adaptive | codegen | serve | bechamel | all] \
-     [--quick] [--json FILE] [--check]";
+    "usage: bench/main.exe [table1 | figure7 | table2 | ablations | chaos \
+     | adaptive | codegen | bechamel | all] [--quick] [--json FILE] [--check]";
   print_endline "  (no experiment = all; --check applies to table1 and table2)"
 
 let run_table1_and_figure7 () =
@@ -41,12 +40,9 @@ let () =
   in
   let experiments = parse [] args in
   let experiments = if experiments = [] then [ "all" ] else experiments in
-  let amortize () = Amortize.run ~quick:!quick ?json:!json () in
-  let inspector () = Inspector.run ~quick:!quick ?json:!json () in
   let chaos () = Chaos.run ~quick:!quick ?json:!json () in
   let adaptive () = Adaptive.run ~quick:!quick ?json:!json () in
   let codegen () = Codegen_native.run ~quick:!quick ?json:!json () in
-  let serve () = Serve.run ~quick:!quick ?json:!json () in
   List.iter
     (fun name ->
       match String.lowercase_ascii name with
@@ -58,12 +54,9 @@ let () =
       | "figure7" -> run_table1_and_figure7 ()
       | "table2" -> ignore (Table2.run () : Table2.row list)
       | "ablations" -> Ablations.run ()
-      | "amortize" -> amortize ()
-      | "inspector" -> inspector ()
       | "chaos" -> chaos ()
       | "adaptive" -> adaptive ()
       | "codegen" | "codegen_native" -> codegen ()
-      | "serve" -> serve ()
       | "bechamel" -> Bechamel_suite.run ()
       | "all" ->
           run_table1_and_figure7 ();
@@ -72,17 +65,11 @@ let () =
           print_newline ();
           Ablations.run ();
           print_newline ();
-          amortize ();
-          print_newline ();
-          inspector ();
-          print_newline ();
           chaos ();
           print_newline ();
           adaptive ();
           print_newline ();
           codegen ();
-          print_newline ();
-          serve ();
           print_newline ();
           Bechamel_suite.run ()
       | "-h" | "--help" | "help" -> usage ()

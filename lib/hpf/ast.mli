@@ -91,6 +91,4 @@ type statement =
 
 type program = statement list
 
-val pp_triplet : Format.formatter -> triplet -> unit
 val pp_statement : Format.formatter -> statement -> unit
-val pp_binop : Format.formatter -> binop -> unit

@@ -73,9 +73,6 @@ val fill_array : seed:int64 -> Lams_util.Fbuf.t -> unit
     doubles in [[1., 1024.]], identical to what the generated C
     [reset()] produces for the same seed. *)
 
-val c_prelude : string
-(** The C side of the stream: [lams_rng] state and [lams_fill()]. *)
-
 (** {1 Node-code variants} *)
 
 type variant =

@@ -15,13 +15,6 @@ val solve : a:int -> m:int -> int -> solution option
 (** [solve ~a ~m c] solves [a*x ≡ c (mod m)] for [m > 0]. [None] iff
     [gcd a m] does not divide [c]. @raise Invalid_argument if [m <= 0]. *)
 
-val solve_with_bezout :
-  d:int -> x:int -> a:int -> m:int -> int -> solution option
-(** Same as {!solve} but reusing a precomputed extended-Euclid result
-    [d = gcd a m] and Bézout coefficient [x] with [a*x ≡ d (mod m)]; this is
-    the form used in the algorithms' inner loops where Euclid must run only
-    once. @raise Invalid_argument if [m <= 0 || d <= 0]. *)
-
 val smallest_at_least : solution -> int -> int
 (** [smallest_at_least sol lo]: least solution [>= lo]. *)
 

@@ -140,12 +140,6 @@ let absorb_network net =
         done
       done)
 
-let known ~src ~dst =
-  locked (fun () ->
-      match Hashtbl.find_opt table (src, dst) with
-      | Some s -> s.s_acks > 0 || s.s_downgrades > 0
-      | None -> false)
-
 let cost ~src ~dst =
   locked (fun () ->
       match Hashtbl.find_opt table (src, dst) with

@@ -67,9 +67,6 @@ val is_sick : src:int -> dst:int -> bool
 (** [true] when the link's standing backoff has reached 8 ticks or its
     cost factor has reached 4 — the re-planning trigger. *)
 
-val known : src:int -> dst:int -> bool
-(** Has this link recorded at least one ack or downgrade? *)
-
 val report : unit -> ((int * int) * stats) list
 (** Snapshot of every tracked link, sorted by [(src, dst)]. *)
 

@@ -59,10 +59,6 @@ val default_config : config
 val config_of_budget : int -> config
 (** {!default_config} with [max_attempts] clamped to [>= 1]. *)
 
-val checksum : run:int -> seq:int -> Lams_util.Fbuf.t -> int
-(** The header checksum: FNV-1a over [run], [seq] and the payload's
-    64-bit float images, masked positive. *)
-
 val note_downgrade : unit -> unit
 (** Record one transfer filed from its pre-packed buffer instead of the
     protocol ({!Executor} uses this for crash-exhaustion replay). *)

@@ -152,6 +152,8 @@ let counters t =
     replayed = t.replayed;
   }
 
+(* What a [Stats] request answers: the counters, both stores'
+   accounting and the served-latency histogram since [start]. *)
 let stats_payload t =
   let c = counters t in
   let ps = Lams_core.Plan_cache.Lru.stats t.plans

@@ -83,11 +83,6 @@ val stop : t -> unit
 
 val counters : t -> counters
 
-val stats_payload : t -> Wire.stats_payload
-(** What a [Stats] request answers: the counters above, both stores'
-    accounting, and the served-latency {!Lams_obs.Histogram}
-    (microseconds, decode to answer) since [start], like the counters. *)
-
 val run : config -> address -> unit
 (** [start], then block until SIGTERM or SIGINT, then [stop]. Installs
     the signal handlers (and ignores SIGPIPE); prints one

@@ -132,7 +132,6 @@ val error_of_frame_error : frame_error -> error_code * string
 
 val pp_frame_error : Format.formatter -> frame_error -> unit
 val pp_response : Format.formatter -> response -> unit
-val error_code_name : error_code -> string
 
 (** {1 Framed socket I/O} *)
 

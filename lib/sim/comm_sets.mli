@@ -69,8 +69,9 @@ val build_crt :
     CRT solve per (src class, dst class) pair — i.e.
     [O(p_src * p_dst * (k_src/d_src) * (k_dst/d_dst))] extended-Euclid
     solves plus [p_src * (1 + p_dst)] owner-class rebuilds. Quadratic in
-    the machine and in the per-window class counts (the block-sized-k
-    cliff `bench/inspector.ml` measures). Raises like {!build}. *)
+    the machine and in the per-window class counts: a stride-1 remap of
+    [n] elements from [k_src = n/p] to [k_dst = n/4p] takes [n^2/4]
+    solves. Raises like {!build}. *)
 
 val positions : progression -> int list
 (** Materialise a run (test/debug helper). *)

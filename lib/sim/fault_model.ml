@@ -66,7 +66,6 @@ let create ?(rates = no_faults) ?(link_rates = fun _ -> None)
 
 let rates t = t.rates
 let seed t = t.seed
-let max_delay t = t.max_delay
 
 let rates_for t ~link =
   match t.link_rates link with

@@ -68,7 +68,6 @@ val create :
 
 val rates : t -> rates
 val seed : t -> int
-val max_delay : t -> int
 
 val rates_for : t -> link:int -> rates
 (** The rates in force on [link]: the per-link override if present,

@@ -43,7 +43,4 @@ val iter_positions : transfer -> f:(int array -> unit) -> unit
 (** Visit every exchanged multidimensional position (row-major over the
     per-dimension runs). The position array is reused between calls. *)
 
-val cross_node_elements : t -> int
-(** Elements whose source and destination nodes differ. *)
-
 val pp : Format.formatter -> t -> unit

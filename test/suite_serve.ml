@@ -1181,6 +1181,53 @@ let test_server_lifetime_stats () =
           Tutil.check_bool "the build stays the maximum" true
             (last.Wire.d_max >= first.Wire.d_max)))
 
+(* ------------------------------------------------------------------ *)
+(* Load generator                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Against a daemon that sheds everything, every request comes back
+   [Overloaded]: counted as shed, never as answered or as an error. *)
+let test_loadgen_shed_probe () =
+  with_server ~cfg:{ small_cfg with high_water = 0 } (fun _ addr ->
+      let r =
+        Loadgen.run
+          { Loadgen.default_config with clients = 2; requests = 200 }
+          addr
+      in
+      Tutil.check_int "sent" 200 r.sent;
+      Tutil.check_int "every request shed" r.sent r.shed;
+      Tutil.check_int "nothing answered" 0 r.answered;
+      Tutil.check_int "no hits" 0 r.hits;
+      Tutil.check_int "no errors" 0 r.errors)
+
+(* A logged daemon whose stores hold every key: one pass, a stop (which
+   flushes the log) and a restart on the same log. The same config
+   draws the same keys again, so the second pass finds all of them
+   replayed. *)
+let test_loadgen_warm_start () =
+  with_temp_file (fun log_path ->
+      let cfg =
+        {
+          small_cfg with
+          plan_capacity = 4096;
+          sched_capacity = 1024;
+          log_path = Some log_path;
+        }
+      in
+      let load =
+        { Loadgen.default_config with clients = 2; requests = 2000; keys = 200 }
+      in
+      let first = with_server ~cfg (fun _ addr -> Loadgen.run load addr) in
+      Tutil.check_int "first pass: no errors" 0 first.errors;
+      with_server ~cfg (fun t addr ->
+          Tutil.check_bool "the log replayed" true
+            ((Server.counters t).replayed > 0);
+          let second = Loadgen.run load addr in
+          Tutil.check_int "second pass: no errors" 0 second.errors;
+          Tutil.check_int "second pass: no misses" 0 second.misses;
+          Tutil.check_bool "warm start reaches the target hit rate" true
+            (second.time_to_target_s <> None)))
+
 let suite =
   [
     prop_request_roundtrip;
@@ -1207,4 +1254,6 @@ let suite =
     ("server partial frames", `Quick, test_server_partial_frames);
     ("server stop with pipelined requests", `Quick, test_server_stop_pipelined);
     ("server lifetime statistics", `Quick, test_server_lifetime_stats);
+    ("loadgen shed probe", `Quick, test_loadgen_shed_probe);
+    ("loadgen warm start", `Quick, test_loadgen_warm_start);
   ]

@@ -546,6 +546,36 @@ let prop_comm_sets_build_equals_crt =
       Comm_sets.build ~src_layout ~src_section ~dst_layout ~dst_section
       = Comm_sets.build_crt ~src_layout ~src_section ~dst_layout ~dst_section)
 
+(* The property above draws k <= 9 over at most 80 elements. These are
+   whole-array remaps at block-sized k (k_src = n/p, k_dst = n/4p), the
+   regime where the CRT oracle's per-pair class products are largest,
+   plus a small-k row over a long array; each pins its transfer and run
+   counts. *)
+let test_comm_sets_walk_equals_crt_block_sized () =
+  List.iter
+    (fun (p, n, k_src, k_dst, transfers, runs) ->
+      let name = Printf.sprintf "p=%d n=%d %d->%d" p n k_src k_dst in
+      let src_layout = Layout.create ~p ~k:k_src
+      and dst_layout = Layout.create ~p ~k:k_dst
+      and sec = Section.whole ~n in
+      let walk =
+        Comm_sets.build ~src_layout ~src_section:sec ~dst_layout
+          ~dst_section:sec
+      in
+      Tutil.check_bool (name ^ ": walk = CRT") true
+        (walk
+        = Comm_sets.build_crt ~src_layout ~src_section:sec ~dst_layout
+            ~dst_section:sec);
+      Tutil.check_int (name ^ ": transfers") transfers
+        (List.length walk.Comm_sets.transfers);
+      Tutil.check_int (name ^ ": runs") runs
+        (List.fold_left
+           (fun acc tr -> acc + List.length tr.Comm_sets.runs)
+           0 walk.Comm_sets.transfers))
+    [ (4, 4096, 1024, 256, 16, 4096);
+      (8, 4096, 512, 128, 32, 4096);
+      (8, 65536, 64, 256, 32, 2048) ]
+
 let suite =
   [ Alcotest.test_case "local store" `Quick test_local_store;
     Alcotest.test_case "comm sets: mixed layouts + reversal" `Quick
@@ -584,4 +614,6 @@ let suite =
     Alcotest.test_case "copy shape mismatch rejected" `Quick
       test_copy_count_mismatch;
     prop_fill_matches_semantics;
-    prop_copy_matches_semantics ]
+    prop_copy_matches_semantics;
+    Alcotest.test_case "comm sets: walk = CRT at block-sized k" `Quick
+      test_comm_sets_walk_equals_crt_block_sized ]
